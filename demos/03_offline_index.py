@@ -1,8 +1,9 @@
-"""Inside the offline index: per-word similar-word lists on a Huffman tree.
+"""Inside the offline index: per-word similar-word lists stored as CSR arrays.
 
-Builds a small index, walks a few lists, shows the frequency-driven tree
-layout (common words sit near the root), and round-trips the index through
-its binary file format.
+Builds a small index, walks a few lists (each a slice of the CSR arrays),
+shows the Huffman code lengths derived from the word frequencies (common
+words get short codes; the tree is statistics only, not storage), and
+round-trips the index through its binary file format.
 """
 
 import tempfile

@@ -9,7 +9,7 @@ same outcome at different speeds:
 * ``smin_match``, the exhaustive double loop;
 * ``smii_match``, a per-call exact top-1 index over the target image;
 * ``psmi_match``, a reusable offline index of potential similar words per
-  vocabulary entry, laid out as a frequency-built Huffman tree.
+  vocabulary entry, stored as CSR arrays.
 
 The matchers agree exactly (bit-identical outcomes), which the test suite
 treats as a load-bearing contract.

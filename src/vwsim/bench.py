@@ -14,7 +14,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -23,12 +23,13 @@ from .core import ImageObject, Vocabulary, check_threshold, unit_rows
 from .errors import DomainError
 from .io import Dataset, load_images, load_truth, load_vocabulary
 from .matching import smin_similarity
-from .psmi import build_psmi_index, psmi_similarity
+from .psmi import PsimIndex, build_psmi_index, psmi_similarity
 from .synth import perturb_image
 from .temp_index import smii_similarity
 
 __all__ = [
     "ALGORITHMS",
+    "SCORERS",
     "BenchConfig",
     "HitRateConfig",
     "BENCH_COLUMNS",
@@ -37,7 +38,15 @@ __all__ = [
     "run_hitrate",
 ]
 
-ALGORITHMS = ("smin", "smii", "psmi", "exhaustive-baseline")
+# The one algorithm dispatch: name -> scorer(query, target, mu0, index).
+# Only psmi reads the offline index; the others take it and ignore it.
+SCORERS: dict[str, Callable[[ImageObject, ImageObject, float, Optional[PsimIndex]], float]] = {
+    "smin": lambda a, b, mu0, index: smin_similarity(a, b, mu0),
+    "smii": lambda a, b, mu0, index: smii_similarity(a, b, mu0),
+    "psmi": psmi_similarity,
+    "exhaustive-baseline": lambda a, b, mu0, index: mean_vector_similarity(a, b),
+}
+ALGORITHMS = tuple(SCORERS)
 
 BENCH_COLUMNS = ("algo", "gamma", "m", "n", "d", "k", "mu0", "seed", "median_ms", "per_pair_us")
 HITRATE_COLUMNS = ("rho", "m", "dataset_size", "algo", "hit_rate")
@@ -171,24 +180,14 @@ def run_bench(cfg: BenchConfig, threads: int = 1) -> list[dict]:
                      "d": cfg.dimension, "k": cfg.vocab_size, "mu0": cfg.mu0,
                      "seed": cfg.seed, "median_ms": build_s * 1e3, "per_pair_us": ""})
 
-    scorers: dict[str, Callable[[ImageObject, ImageObject], float]] = {}
-    for algo in cfg.algorithms:
-        if algo == "smin":
-            scorers[algo] = lambda a, b: smin_similarity(a, b, cfg.mu0)
-        elif algo == "smii":
-            scorers[algo] = lambda a, b: smii_similarity(a, b, cfg.mu0)
-        elif algo == "psmi":
-            scorers[algo] = lambda a, b: psmi_similarity(a, b, cfg.mu0, index)
-        else:
-            scorers[algo] = mean_vector_similarity
-
     # Algorithm-major order keeps one algorithm's sweep points adjacent in
     # time, so growth ratios along a sweep are not polluted by load drift
     # while other (much slower) algorithms run. Pairs are regenerated per
     # point from a point-derived seed, so every algorithm times identical
     # inputs regardless of ordering.
     for algo in cfg.algorithms:
-        fn = scorers[algo]
+        score = SCORERS[algo]
+        fn = lambda a, b: score(a, b, cfg.mu0, index)
         for m in cfg.m_values:
             for n in cfg.n_values:
                 pair_rng = np.random.RandomState(cfg.seed + 100003 * m + 37 * n + 1)
@@ -237,23 +236,14 @@ def run_hitrate(cfg: HitRateConfig, threads: int = 1) -> list[dict]:
     picked = rng.choice(len(source_ids), size=cfg.query_count, replace=False)
     sources = [by_id[source_ids[int(i)]] for i in picked]
 
-    index = None
-    if cfg.algorithm == "psmi":
-        index = build_psmi_index(dataset.vocab, cfg.mu0)
-    if cfg.algorithm == "smin":
-        score = lambda q, img: smin_similarity(q, img, cfg.mu0)
-    elif cfg.algorithm == "smii":
-        score = lambda q, img: smii_similarity(q, img, cfg.mu0)
-    elif cfg.algorithm == "psmi":
-        score = lambda q, img: psmi_similarity(q, img, cfg.mu0, index)
-    else:
-        score = mean_vector_similarity
+    index = build_psmi_index(dataset.vocab, cfg.mu0) if cfg.algorithm == "psmi" else None
+    score = SCORERS[cfg.algorithm]
 
     mean_words = int(round(sum(img.word_count for img in dataset.images) / len(dataset.images)))
 
     def query_hit(args) -> bool:
         query, source_id = args
-        scored = [(-score(query, img), img.image_id) for img in dataset.images]
+        scored = [(-score(query, img, cfg.mu0, index), img.image_id) for img in dataset.images]
         scored.sort()
         return source_id in {image_id for _, image_id in scored[:cfg.top_k]}
 

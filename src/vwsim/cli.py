@@ -17,12 +17,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .baseline import mean_vector_similarity
 from .core import ImageObject
 from .bench import (
     ALGORITHMS,
     BENCH_COLUMNS,
     HITRATE_COLUMNS,
+    SCORERS,
     BenchConfig,
     HitRateConfig,
     run_bench,
@@ -30,11 +30,9 @@ from .bench import (
 )
 from .errors import ContractError, PreconditionError, ValidationError, VwsimError
 from .io import Dataset, load_images, load_psmi, load_vocabulary, save_images, save_psmi, save_truth, save_vocabulary
-from .matching import smin_similarity
-from .psmi import build_psmi_index, psmi_similarity, weighted_code_length
+from .psmi import build_psmi_index, weighted_code_length
 from .quantize import assign_words, kmeans_quantize, tfidf_weights
 from .synth import GeneratorConfig, generate_synthetic
-from .temp_index import smii_similarity
 
 
 def _fmt(value) -> str:
@@ -64,15 +62,8 @@ def cmd_sim(args) -> int:
     vocab = load_vocabulary(args.vocab) if args.vocab else None
     a = _first_image(args.image_a, vocab)
     b = _first_image(args.image_b, vocab)
-    if args.algo == "psmi":
-        index = load_psmi(args.index, vocab=vocab)
-        score = psmi_similarity(a, b, args.mu0, index)
-    elif args.algo == "smin":
-        score = smin_similarity(a, b, args.mu0)
-    elif args.algo == "smii":
-        score = smii_similarity(a, b, args.mu0)
-    else:
-        score = mean_vector_similarity(a, b)
+    index = load_psmi(args.index, vocab=vocab) if args.algo == "psmi" else None
+    score = SCORERS[args.algo](a, b, args.mu0, index)
     print(f"{score:.6f}")
     return 0
 

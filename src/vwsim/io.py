@@ -244,34 +244,55 @@ def load_truth(path) -> dict[str, str]:
 #   "PSMI" | version u32 | K u32 | d u32 | mu0_build f64 | vocab checksum u64
 #   then per word, ascending id: frequency u64 | entry count u32
 #   then per entry: word_id u32 | sim f64
-# Lists are stored flat; the tree is derived data and rebuilt on load.
+# Lists are stored flat; the tree is derived data and rebuilt on demand.
+# Headers and entries are both 12-byte records: the body is one record array.
+_PSMI_PREFIX = struct.Struct("<4sIIIdQ")
+_WORD_HEADER = np.dtype([("freq", "<u8"), ("count", "<u4")])
+_ENTRY = np.dtype([("id", "<u4"), ("sim", "<f8")])
+_RECORD = np.dtype("V12")
+
 
 def save_psmi(idx: PsimIndex, path) -> None:
-    parts = [PSMI_MAGIC,
-             struct.pack("<III", PSMI_VERSION, idx.size, idx.dimension),
-             struct.pack("<dQ", idx.mu0_build, idx.vocab_checksum)]
-    offs = idx.csr_offsets
-    for wid in range(idx.size):
-        lo, hi = int(offs[wid]), int(offs[wid + 1])
-        parts.append(struct.pack("<QI", int(idx.frequencies[wid]), hi - lo))
-        for j in range(lo, hi):
-            parts.append(struct.pack("<Id", int(idx.csr_ids[j]), float(idx.csr_sims[j])))
-    Path(path).write_bytes(b"".join(parts))
+    heads = np.empty(idx.size, dtype=_WORD_HEADER)
+    heads["freq"], heads["count"] = idx.frequencies, np.diff(idx.csr_offsets)
+    entries = np.empty(idx.csr_ids.size, dtype=_ENTRY)
+    entries["id"], entries["sim"] = idx.csr_ids, idx.csr_sims
+    # Each word's header goes right before its list.
+    records = np.insert(entries.view(_RECORD), idx.csr_offsets[:-1], heads.view(_RECORD))
+    prefix = _PSMI_PREFIX.pack(PSMI_MAGIC, PSMI_VERSION, idx.size, idx.dimension,
+                               idx.mu0_build, idx.vocab_checksum)
+    Path(path).write_bytes(prefix + records.tobytes())
 
 
-class _Reader:
-    def __init__(self, data: bytes, where: str):
-        self.data = data
-        self.pos = 0
-        self.where = where
+def _check_psmi_lists(where: str, mu0_build: float, offsets: np.ndarray,
+                      ids: np.ndarray, sims: np.ndarray) -> None:
+    """Structural checks on loaded lists; raise naming the first bad word."""
+    k = offsets.size - 1
+    words = np.arange(k)
+    rows = np.repeat(words, np.diff(offsets))
+    starts = offsets[:-1]
 
-    def take(self, fmt: str):
-        size = struct.calcsize(fmt)
-        if self.pos + size > len(self.data):
-            raise FormatError(f"{self.where}: truncated index file")
-        out = struct.unpack_from(fmt, self.data, self.pos)
-        self.pos += size
-        return out
+    def fail(bad: np.ndarray, owners: np.ndarray, what: str) -> None:
+        if bad.any():
+            raise FormatError(f"{where}: word {int(owners[bad.argmax()])} {what}")
+
+    fail(starts == offsets[1:], words, "has no self entry")
+    fail(ids >= k, rows, f"references an id >= {k}")
+    fail((ids[starts] != words) | (sims[starts] != 1.0), words, "must lead with its self entry")
+    rising = np.concatenate(([False], sims[1:] > sims[:-1]))
+    rising[starts] = False
+    fail(rising, rows, "entries are not in descending order")
+    fail(~((sims > mu0_build) & (sims <= 1.0)), rows, "stores a similarity outside the build range")
+
+    # One key per (word, id) pair, exact in uint64 since ids < k < 2**32.
+    # Sorted by (word, id), every entry must meet its mirror sorted by
+    # (id, word): builds are symmetric because the pair kernel commutes.
+    key = rows.astype(np.uint64) * k + ids.astype(np.uint64)
+    mirror_key = ids.astype(np.uint64) * k + rows.astype(np.uint64)
+    order, mirror = np.argsort(key), np.argsort(mirror_key)
+    fail(key[order][1:] == key[order][:-1], rows[order][1:], "repeats a word id")
+    fail((key[order] != mirror_key[mirror]) | (sims[order] != sims[mirror]), rows[order],
+         "has an entry without its mirror entry")
 
 
 def load_psmi(path, vocab: Optional[Vocabulary] = None) -> PsimIndex:
@@ -279,46 +300,42 @@ def load_psmi(path, vocab: Optional[Vocabulary] = None) -> PsimIndex:
     where = str(path)
     if data[:4] != PSMI_MAGIC:
         raise FormatError(f"{where}: not an index file (bad magic)")
-    rd = _Reader(data, where)
-    rd.pos = 4
-    version, k, dim = rd.take("<III")
+    if len(data) < _PSMI_PREFIX.size:
+        raise FormatError(f"{where}: truncated index file")
+    _, version, k, dim, mu0_build, checksum = _PSMI_PREFIX.unpack_from(data)
     if version != PSMI_VERSION:
         raise FormatError(f"{where}: unsupported index version {version}")
     if k < 1 or dim < 1:
         raise FormatError(f"{where}: empty index header")
-    mu0_build, checksum = rd.take("<dQ")
     if not (0.0 <= mu0_build < 1.0):
         raise FormatError(f"{where}: stored build threshold out of range")
 
-    freqs = np.zeros(k, dtype=np.int64)
-    offsets = np.zeros(k + 1, dtype=np.int64)
-    ids: list[int] = []
-    sims: list[float] = []
+    n_records = (len(data) - _PSMI_PREFIX.size) // _RECORD.itemsize
+    records = np.frombuffer(data, dtype=_RECORD, count=n_records, offset=_PSMI_PREFIX.size)
+    heads = records.view(_WORD_HEADER)
+    counts = heads["count"]
+    head_pos = np.empty(k, dtype=np.int64)
+    pos = 0
     for wid in range(k):
-        freq, n_entries = rd.take("<QI")
-        freqs[wid] = freq
-        if n_entries < 1:
-            raise FormatError(f"{where}: word {wid} has no self entry")
-        for j in range(n_entries):
-            ent_id, ent_sim = rd.take("<Id")
-            if ent_id >= k:
-                raise FormatError(f"{where}: word {wid} references id {ent_id} >= {k}")
-            if j == 0 and (ent_id != wid or ent_sim != 1.0):
-                raise FormatError(f"{where}: word {wid} must lead with its self entry")
-            if j > 0 and ent_sim > sims[-1]:
-                raise FormatError(f"{where}: word {wid} entries are not in descending order")
-            if not (mu0_build < ent_sim <= 1.0):
-                raise FormatError(f"{where}: word {wid} stores a similarity outside the build range")
-            ids.append(ent_id)
-            sims.append(ent_sim)
-        offsets[wid + 1] = len(ids)
-    if rd.pos != len(data):
+        if pos >= n_records:
+            raise FormatError(f"{where}: truncated index file")
+        head_pos[wid] = pos
+        pos += 1 + int(counts[pos])
+    if pos > n_records:
+        raise FormatError(f"{where}: truncated index file")
+    if _PSMI_PREFIX.size + pos * _RECORD.itemsize != len(data):
         raise FormatError(f"{where}: trailing bytes after index payload")
+
+    freqs = heads["freq"][head_pos]
+    if np.any(freqs > np.iinfo(np.int64).max):
+        raise FormatError(f"{where}: stored frequency out of range")
+    offsets = np.concatenate(([0], np.cumsum(counts[head_pos], dtype=np.int64)))
+    entries = np.delete(records[:pos], head_pos).view(_ENTRY)
+    ids, sims = entries["id"].astype(np.int64), entries["sim"].astype(np.float64)
+    _check_psmi_lists(where, mu0_build, offsets, ids, sims)
 
     if vocab is not None and vocab.checksum != checksum:
         raise CompatibilityError(
             f"{where}: index was built for a different vocabulary (checksum mismatch)")
-    return PsimIndex.from_lists(frequencies=freqs, offsets=offsets,
-                                ids=np.array(ids, dtype=np.int64),
-                                sims=np.array(sims, dtype=np.float64),
+    return PsimIndex.from_lists(frequencies=freqs, offsets=offsets, ids=ids, sims=sims,
                                 mu0_build=mu0_build, vocab_checksum=checksum, dimension=dim)

@@ -2,10 +2,10 @@
 
 For every vocabulary word, precompute the list of all other words whose
 clamped cosine exceeds a build threshold, stored in descending-similarity
-order (self first, at exactly 1.0). Physically the per-word lists hang off
-the leaves of a Huffman tree built over the word frequencies; queries go
-through a constant-time id-to-leaf map, the tree layout is kept for
-code-length statistics.
+order (self first, at exactly 1.0). The index is three CSR arrays holding
+all lists back to back; a word's list is a slice of them. The Huffman tree
+over the word frequencies is derived from the frequencies alone, on demand,
+and serves code-length statistics only.
 
 Matching against this index never touches vectors at query time: walking a
 query word's list in descending order, the first entry present in the
@@ -16,7 +16,8 @@ matcher whenever the query threshold is at least the build threshold.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -142,10 +143,9 @@ class PsimIndex:
     """The built offline index.
 
     ``csr_offsets/csr_ids/csr_sims`` hold all per-word lists back to back
-    (word ``w`` owns the slice ``offsets[w]:offsets[w+1]``); ``lists`` and
-    the Huffman ``tree``/``lookup`` expose the same data as objects. The
-    build threshold is stored because entries below it were discarded and
-    queries under it cannot be answered.
+    (word ``w`` owns the slice ``offsets[w]:offsets[w+1]``). The build
+    threshold is stored because entries below it were discarded and queries
+    under it cannot be answered.
     """
 
     mu0_build: float
@@ -155,13 +155,20 @@ class PsimIndex:
     csr_offsets: np.ndarray
     csr_ids: np.ndarray
     csr_sims: np.ndarray
-    lists: tuple[PsimList, ...]
-    tree: HuffmanNode
-    lookup: dict[int, HuffmanNode] = field(repr=False)
 
     @property
     def size(self) -> int:
         return self.frequencies.size
+
+    @cached_property
+    def tree(self) -> HuffmanNode:
+        """Huffman tree over the word frequencies (a pure function of them)."""
+        return build_huffman_tree(self.frequencies)
+
+    @cached_property
+    def lists(self) -> tuple[PsimList, ...]:
+        """Every word's list as objects, in word-id order."""
+        return tuple(huffman_search(self, wid) for wid in range(self.size))
 
     @classmethod
     def from_lists(cls, frequencies: np.ndarray, offsets: np.ndarray, ids: np.ndarray,
@@ -174,25 +181,9 @@ class PsimIndex:
         sims = np.ascontiguousarray(sims, dtype=np.float64)
         for arr in (frequencies, offsets, ids, sims):
             arr.setflags(write=False)
-        lists = tuple(
-            PsimList(tuple(PsimEntry(int(w), float(s))
-                           for w, s in zip(ids[offsets[k]:offsets[k + 1]],
-                                           sims[offsets[k]:offsets[k + 1]])))
-            for k in range(frequencies.size)
-        )
-        tree = build_huffman_tree(frequencies, payloads=lists)
-        lookup: dict[int, HuffmanNode] = {}
-        stack = [tree]
-        while stack:
-            node = stack.pop()
-            if node.is_leaf:
-                lookup[node.word_id] = node
-            else:
-                stack.append(node.left)
-                stack.append(node.right)
         return cls(mu0_build=float(mu0_build), vocab_checksum=int(vocab_checksum),
                    dimension=int(dimension), frequencies=frequencies, csr_offsets=offsets,
-                   csr_ids=ids, csr_sims=sims, lists=lists, tree=tree, lookup=lookup)
+                   csr_ids=ids, csr_sims=sims)
 
 
 def build_psmi_index(vocab: Vocabulary, mu0_build: float) -> PsimIndex:
@@ -206,39 +197,36 @@ def build_psmi_index(vocab: Vocabulary, mu0_build: float) -> PsimIndex:
     unit = vocab.unit_matrix
     raw = vocab.vectors
     k = vocab.size
-    per_word: list[list[tuple[float, int]]] = [[] for _ in range(k)]
 
     chunk = max(1, (1 << 22) // k)
     cut = mu0_build - _CANDIDATE_MARGIN
+    row_parts, col_parts = [np.arange(k)], [np.arange(k)]
     for lo in range(0, k, chunk):
         hi = min(k, lo + chunk)
-        scores = unit[lo:hi] @ unit.T
-        rows, cols = np.nonzero(scores > cut)
-        for r, j in zip(rows.tolist(), cols.tolist()):
-            i = lo + r
-            if i == j:
-                continue
-            s = _pair_score(unit[i], unit[j], raw[i], raw[j])
-            if s > mu0_build:
-                per_word[i].append((-s, j))
+        rows, cols = np.nonzero(unit[lo:hi] @ unit.T > cut)
+        rows += lo
+        off_diagonal = rows != cols
+        row_parts.append(rows[off_diagonal])
+        col_parts.append(cols[off_diagonal])
+    rows = np.concatenate(row_parts)
+    cols = np.concatenate(col_parts)
+    sims = np.ones(rows.size, dtype=np.float64)
+    sims[k:] = [_pair_score(unit[i], unit[j], raw[i], raw[j])
+                for i, j in zip(rows[k:].tolist(), cols[k:].tolist())]
+    # The first k entries are the self entries; at 1.0 they always pass.
+    keep = sims > mu0_build
+    rows, cols, sims = rows[keep], cols[keep], sims[keep]
 
-    offsets = np.zeros(k + 1, dtype=np.int64)
-    all_ids: list[int] = []
-    all_sims: list[float] = []
-    for wid in range(k):
-        entries = sorted(per_word[wid])
-        all_ids.append(wid)
-        all_sims.append(1.0)
-        for neg_s, j in entries:
-            all_ids.append(j)
-            all_sims.append(-neg_s)
-        offsets[wid + 1] = len(all_ids)
-
+    # Per word: self first (even ahead of another word at 1.0), then
+    # descending similarity, ties by ascending id.
+    sort_key = -sims
+    sort_key[:k] = -np.inf
+    order = np.lexsort((cols, sort_key, rows))
     return PsimIndex.from_lists(
         frequencies=vocab.frequencies,
-        offsets=offsets,
-        ids=np.array(all_ids, dtype=np.int64),
-        sims=np.array(all_sims, dtype=np.float64),
+        offsets=np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=k)))),
+        ids=cols[order],
+        sims=sims[order],
         mu0_build=mu0_build,
         vocab_checksum=vocab.checksum,
         dimension=vocab.dimension,
@@ -246,11 +234,13 @@ def build_psmi_index(vocab: Vocabulary, mu0_build: float) -> PsimIndex:
 
 
 def huffman_search(idx: PsimIndex, word_id: int) -> PsimList:
-    """Fetch a word's list through the constant-time id-to-leaf map."""
-    leaf = idx.lookup.get(int(word_id))
-    if leaf is None:
-        raise UnknownWordError(f"word id {int(word_id)} is not in the indexed vocabulary")
-    return leaf.payload
+    """Fetch a word's list as a slice of the CSR arrays."""
+    wid = int(word_id)
+    if not 0 <= wid < idx.size:
+        raise UnknownWordError(f"word id {wid} is not in the indexed vocabulary")
+    lo, hi = idx.csr_offsets[wid], idx.csr_offsets[wid + 1]
+    return PsimList(tuple(PsimEntry(w, s) for w, s in zip(idx.csr_ids[lo:hi].tolist(),
+                                                          idx.csr_sims[lo:hi].tolist())))
 
 
 def _multirange(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -268,7 +258,8 @@ def psmi_match(a: ImageObject, b: ImageObject, mu0_query: float, idx: PsimIndex)
 
     For each query word, the first list entry above ``mu0_query`` whose word
     id occurs in B wins; its partner is the smallest B position holding that
-    id. Requires id-carrying images and ``mu0_query >= mu0_build``.
+    id. Requires id-carrying images of the indexed vocabulary and
+    ``mu0_query >= mu0_build``.
     """
     mu0_query = check_threshold(mu0_query)
     if a.word_count == 0 or b.word_count == 0:
@@ -283,6 +274,9 @@ def psmi_match(a: ImageObject, b: ImageObject, mu0_query: float, idx: PsimIndex)
     b_ids = b.word_ids
     if int(a_ids.max()) >= k or int(b_ids.max()) >= k:
         raise PreconditionError("image carries word ids outside the indexed vocabulary")
+    for img in (a, b):
+        if img.vocab is not None and img.vocab.checksum != idx.vocab_checksum:
+            raise PreconditionError("image vocabulary differs from the one the index was built for")
 
     n = b.word_count
     # Smallest B position per word id; n doubles as the "absent" sentinel.

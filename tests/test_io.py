@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -10,6 +11,7 @@ from vwsim import (
     Dataset,
     FormatError,
     ImageObject,
+    PsimIndex,
     ValidationError,
     build_psmi_index,
     load_images,
@@ -229,6 +231,16 @@ class TestPsmiFiles:
         with pytest.raises(FormatError):
             load_psmi(path)
 
+    def test_frequency_beyond_int64_rejected(self, tmp_path):
+        vocab, idx = self._index()
+        path = tmp_path / "idx.psmi"
+        save_psmi(idx, path)
+        data = bytearray(path.read_bytes())
+        data[32:40] = b"\xff" * 8  # word 0's frequency, right after the 32-byte prefix
+        path.write_bytes(bytes(data))
+        with pytest.raises(FormatError, match="frequency"):
+            load_psmi(path)
+
     def test_checksum_mismatch(self, tmp_path):
         vocab, idx = self._index()
         other = random_vocab(np.random.RandomState(151), 24, 4)
@@ -238,6 +250,51 @@ class TestPsmiFiles:
             load_psmi(path, vocab=other)
         # Without a vocabulary the load itself succeeds.
         assert load_psmi(path).size == idx.size
+
+    @pytest.mark.parametrize("seed, size, dim, mu0, digest", [
+        (90001, 64, 2, 0.5, "e6c40bde8d702d756d0600e4e49c37103894b229821723971bfe491a07df792a"),
+        (90002, 1024, 16, 0.7, "6e28ffc35c6e30d1829978e320efc426a62dcc11a655a0648d74c425a4623e52"),
+        (90003, 300, 3, 0.9, "691dff030a9b086671df6b8f05d90236efd32c60769d11e02723442f8580c9d8"),
+    ])
+    def test_golden_bytes(self, tmp_path, seed, size, dim, mu0, digest):
+        # Pinned v1 files: a change to the build or the writer that alters a
+        # single byte fails here even if it round-trips with itself.
+        idx = build_psmi_index(random_vocab(np.random.RandomState(seed), size, dim), mu0)
+        path = tmp_path / "idx.psmi"
+        save_psmi(idx, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+    @staticmethod
+    def _write_lists(path, lists, mu0=0.5):
+        ids = [w for entries in lists for w, _ in entries]
+        sims = [s for entries in lists for _, s in entries]
+        offsets = np.cumsum([0] + [len(entries) for entries in lists])
+        save_psmi(PsimIndex.from_lists(np.ones(len(lists)), offsets, ids, sims, mu0, 0, 2), path)
+
+    @pytest.mark.parametrize("lists, message", [
+        ([[(0, 1.0)], []], "no self entry"),
+        ([[(0, 1.0), (2, 0.9)], [(1, 1.0)]], "references an id"),
+        ([[(1, 0.9), (0, 1.0)], [(1, 1.0), (0, 0.9)]], "lead with its self entry"),
+        ([[(0, 0.9)], [(1, 1.0)]], "lead with its self entry"),
+        ([[(0, 1.0), (1, 0.6), (2, 0.9)], [(1, 1.0), (0, 0.6)], [(2, 1.0), (0, 0.9)]],
+         "descending"),
+        ([[(0, 1.0), (1, 0.4)], [(1, 1.0), (0, 0.4)]], "outside the build range"),
+        ([[(0, 1.0), (1, float("nan"))], [(1, 1.0), (0, float("nan"))]], "outside the build range"),
+        ([[(0, 1.0), (1, 0.9), (1, 0.9)], [(1, 1.0), (0, 0.9), (0, 0.9)]], "repeats a word id"),
+        ([[(0, 1.0), (1, 0.9)], [(1, 1.0)]], "mirror"),
+        ([[(0, 1.0), (1, 0.9)], [(1, 1.0), (0, 0.8)]], "mirror"),
+        ([[(0, 1.0), (2, 0.9)], [(1, 1.0), (2, 0.9)], [(2, 1.0), (0, 0.9)]], "mirror"),
+    ])
+    def test_malformed_lists_rejected(self, tmp_path, lists, message):
+        path = tmp_path / "idx.psmi"
+        self._write_lists(path, lists)
+        with pytest.raises(FormatError, match=message):
+            load_psmi(path)
+
+    def test_symmetric_hand_written_lists_load(self, tmp_path):
+        path = tmp_path / "idx.psmi"
+        self._write_lists(path, [[(0, 1.0), (1, 0.9)], [(1, 1.0), (0, 0.9)]])
+        assert load_psmi(path).csr_ids.tolist() == [0, 1, 1, 0]
 
     def test_random_round_trips(self, tmp_path):
         rng = np.random.RandomState(157)

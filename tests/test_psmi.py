@@ -9,6 +9,7 @@ from vwsim import (
     ImageObject,
     PreconditionError,
     UnknownWordError,
+    Vocabulary,
     build_huffman_tree,
     build_psmi_index,
     huffman_depths,
@@ -59,6 +60,12 @@ class TestBuild:
             sims = [e.sim for e in entries]
             assert sims == sorted(sims, reverse=True)
             assert all(s > 0.5 for s in sims)
+
+    def test_self_first_ahead_of_identical_word(self):
+        vocab = Vocabulary(vectors=np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
+                           frequencies=np.array([1, 1, 1]))
+        idx = build_psmi_index(vocab, 0.5)
+        assert [(e.word_id, e.sim) for e in huffman_search(idx, 1)] == [(1, 1.0), (0, 1.0)]
 
     def test_deterministic_bytes(self, tmp_path):
         rng = np.random.RandomState(101)
@@ -129,8 +136,9 @@ class TestSearch:
 
     def test_unknown_word(self, tiny_vocab):
         idx = build_psmi_index(tiny_vocab, 0.7)
-        with pytest.raises(UnknownWordError):
-            huffman_search(idx, 99)
+        for word_id in (99, -1):
+            with pytest.raises(UnknownWordError):
+                huffman_search(idx, word_id)
 
 
 class TestPsmiMatch:
@@ -223,6 +231,15 @@ class TestPsmiPreconditions:
         img = vocab_image(big_vocab, [7])
         with pytest.raises(PreconditionError):
             psmi_match(img, img, 0.7, idx)
+
+    def test_wrong_vocabulary_rejected(self, tiny_vocab):
+        # Same size, so every id is in range; only the vectors differ.
+        idx = build_psmi_index(tiny_vocab, 0.7)
+        other = random_vocab(np.random.RandomState(131), tiny_vocab.size, 2)
+        own, foreign = vocab_image(tiny_vocab, [0, 1]), vocab_image(other, [0, 1])
+        for a, b in ((foreign, own), (own, foreign), (foreign, foreign)):
+            with pytest.raises(PreconditionError):
+                psmi_match(a, b, 0.7, idx)
 
     def test_empty_image_rejected(self, tiny_vocab):
         idx = build_psmi_index(tiny_vocab, 0.7)
