@@ -11,7 +11,6 @@ from __future__ import annotations
 import gc
 import statistics
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional, Sequence
@@ -139,18 +138,13 @@ def _make_pairs(cfg: BenchConfig, vocab: Vocabulary, m: int, n: int,
 
 
 def _timed_pass(fn: Callable[[ImageObject, ImageObject], float],
-                pairs: Sequence[tuple[ImageObject, ImageObject]], threads: int) -> float:
+                pairs: Sequence[tuple[ImageObject, ImageObject]]) -> float:
     # Collector pauses scale with whatever the host process keeps alive and
     # can dwarf a fast pass, so they are kept out of the timed window.
     was_enabled = gc.isenabled()
     gc.collect()
     gc.disable()
     try:
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                start = time.perf_counter()
-                list(pool.map(lambda p: fn(p[0], p[1]), pairs))
-                return time.perf_counter() - start
         start = time.perf_counter()
         for a, b in pairs:
             fn(a, b)
@@ -160,7 +154,7 @@ def _timed_pass(fn: Callable[[ImageObject, ImageObject], float],
             gc.enable()
 
 
-def run_bench(cfg: BenchConfig, threads: int = 1) -> list[dict]:
+def run_bench(cfg: BenchConfig) -> list[dict]:
     """Execute the sweep; one row per (algorithm, m, n) point.
 
     Timing covers matching plus scoring and excludes data generation. The
@@ -193,8 +187,8 @@ def run_bench(cfg: BenchConfig, threads: int = 1) -> list[dict]:
                 pair_rng = np.random.RandomState(cfg.seed + 100003 * m + 37 * n + 1)
                 pairs = _make_pairs(cfg, vocab, m, n, pair_rng)
                 warmup = pairs[:min(len(pairs), 50)]
-                _timed_pass(fn, warmup, threads)
-                times = [_timed_pass(fn, pairs, threads) for _ in range(cfg.repetitions)]
+                _timed_pass(fn, warmup)
+                times = [_timed_pass(fn, pairs) for _ in range(cfg.repetitions)]
                 median_s = statistics.median(times)
                 rows.append({"algo": algo, "gamma": cfg.pair_count, "m": m, "n": n,
                              "d": cfg.dimension, "k": cfg.vocab_size, "mu0": cfg.mu0,
@@ -213,7 +207,7 @@ def _load_benchmark(data_dir: str) -> tuple[Dataset, dict[str, str]]:
     return dataset, load_truth(truth_path)
 
 
-def run_hitrate(cfg: HitRateConfig, threads: int = 1) -> list[dict]:
+def run_hitrate(cfg: HitRateConfig) -> list[dict]:
     """Perturbed-duplicate retrieval: one row per rho in the grid.
 
     For each sampled ground-truth source, build a fresh duplicate at the
@@ -241,21 +235,15 @@ def run_hitrate(cfg: HitRateConfig, threads: int = 1) -> list[dict]:
 
     mean_words = int(round(sum(img.word_count for img in dataset.images) / len(dataset.images)))
 
-    def query_hit(args) -> bool:
-        query, source_id = args
+    def query_hit(query: ImageObject, source_id: str) -> bool:
         scored = [(-score(query, img, cfg.mu0, index), img.image_id) for img in dataset.images]
         scored.sort()
         return source_id in {image_id for _, image_id in scored[:cfg.top_k]}
 
     rows = []
     for rho in cfg.rho_grid:
-        tasks = [(perturb_image(src, rho, rng, image_id=f"query{qi:06d}"), src.image_id)
-                 for qi, src in enumerate(sources)]
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                hits = sum(pool.map(query_hit, tasks))
-        else:
-            hits = sum(query_hit(t) for t in tasks)
+        hits = sum(query_hit(perturb_image(src, rho, rng, image_id=f"query{qi:06d}"), src.image_id)
+                   for qi, src in enumerate(sources))
         rows.append({"rho": rho, "m": mean_words, "dataset_size": len(dataset.images),
                      "algo": cfg.algorithm, "hit_rate": hits / cfg.query_count})
     return rows

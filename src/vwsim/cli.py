@@ -1,10 +1,11 @@
 """Command-line surface.
 
 Subcommands: gen, build-vocab, quantize, build-psmi, sim, bench,
-eval-hitrate. Every subcommand accepts --seed and --threads; bench and
-eval-hitrate write CSV (to --csv or stdout). Exit codes: 0 success, 1 for
-validation or file-format problems, 2 for violated preconditions and usage
-errors.
+eval-hitrate. Each accepts only the flags it reads: --seed on gen,
+build-vocab, quantize, bench and eval-hitrate; --csv on bench and
+eval-hitrate, which write CSV there or to stdout. Exit codes: 0 success, 1
+for validation or file-format problems, 2 for violated preconditions and
+usage errors, a flag the subcommand does not read included.
 """
 
 from __future__ import annotations
@@ -80,7 +81,7 @@ def cmd_bench(args) -> int:
         seed=args.seed,
         repetitions=args.reps,
     )
-    rows = run_bench(cfg, threads=args.threads)
+    rows = run_bench(cfg)
     _write_csv(rows, BENCH_COLUMNS, args.csv)
     if args.csv:
         print(f"wrote {len(rows)} benchmark rows to {args.csv}")
@@ -97,7 +98,7 @@ def cmd_eval_hitrate(args) -> int:
         seed=args.seed,
         algorithm=args.algo,
     )
-    rows = run_hitrate(cfg, threads=args.threads)
+    rows = run_hitrate(cfg)
     _write_csv(rows, HITRATE_COLUMNS, args.csv)
     if args.csv:
         print(f"wrote {len(rows)} hit-rate rows to {args.csv}")
@@ -178,14 +179,14 @@ def build_parser() -> argparse.ArgumentParser:
         prog="vwsim",
         description="Similarity measurement for images represented as weighted bags of visual words.")
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
-    common.add_argument("--threads", type=int, default=1, help="worker count (default 1)")
-    common.add_argument("--csv", default=None, help="write CSV rows to this path instead of stdout")
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
+    csv_out = argparse.ArgumentParser(add_help=False)
+    csv_out.add_argument("--csv", default=None, help="write CSV rows to this path instead of stdout")
 
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p = subs.add_parser("sim", parents=[common], help="score one image pair")
+    p = subs.add_parser("sim", help="score one image pair")
     p.add_argument("image_a")
     p.add_argument("image_b")
     p.add_argument("--algo", choices=ALGORITHMS, default="smin")
@@ -194,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--index", default=None, help="offline index file (required for psmi)")
     p.set_defaults(fn=cmd_sim)
 
-    p = subs.add_parser("bench", parents=[common], help="timing sweep over random pairs")
+    p = subs.add_parser("bench", parents=[seeded, csv_out], help="timing sweep over random pairs")
     p.add_argument("--algos", default="smin,smii,psmi")
     p.add_argument("--gamma", type=int, default=100, help="pairs per sweep point")
     p.add_argument("--m", default="40", help="comma list of query image sizes")
@@ -205,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reps", type=int, default=3)
     p.set_defaults(fn=cmd_bench)
 
-    p = subs.add_parser("eval-hitrate", parents=[common], help="near-duplicate retrieval evaluation")
+    p = subs.add_parser("eval-hitrate", parents=[seeded, csv_out], help="near-duplicate retrieval evaluation")
     p.add_argument("--data", required=True, help="directory written by gen")
     p.add_argument("--queries", type=int, default=100)
     p.add_argument("--rho", default="0,0.1,0.2,0.4,0.8", help="comma list of perturbation levels")
@@ -214,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algo", choices=ALGORITHMS, default="psmi")
     p.set_defaults(fn=cmd_eval_hitrate)
 
-    p = subs.add_parser("gen", parents=[common], help="generate a synthetic benchmark dataset")
+    p = subs.add_parser("gen", parents=[seeded], help="generate a synthetic benchmark dataset")
     p.add_argument("--out", required=True)
     p.add_argument("--k", type=int, default=1024)
     p.add_argument("--dim", type=int, default=64)
@@ -225,13 +226,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho", type=float, default=0.1)
     p.set_defaults(fn=cmd_gen)
 
-    p = subs.add_parser("build-vocab", parents=[common], help="cluster raw features into a vocabulary")
+    p = subs.add_parser("build-vocab", parents=[seeded], help="cluster raw features into a vocabulary")
     p.add_argument("--features", required=True, help="image file with inline-vector words")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_build_vocab)
 
-    p = subs.add_parser("quantize", parents=[common], help="quantize raw features against a vocabulary")
+    p = subs.add_parser("quantize", parents=[seeded], help="quantize raw features against a vocabulary")
     p.add_argument("--features", required=True)
     p.add_argument("--vocab", default=None, help="existing vocabulary (otherwise cluster with --k)")
     p.add_argument("--k", type=int, default=None)
@@ -240,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weighting", choices=("tfidf", "count"), default="tfidf")
     p.set_defaults(fn=cmd_quantize)
 
-    p = subs.add_parser("build-psmi", parents=[common], help="build the offline similar-words index")
+    p = subs.add_parser("build-psmi", help="build the offline similar-words index")
     p.add_argument("--vocab", required=True)
     p.add_argument("--mu0", type=float, required=True)
     p.add_argument("--out", required=True)

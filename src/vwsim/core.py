@@ -12,7 +12,7 @@ any number of evaluations may run concurrently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Optional, Sequence
 
@@ -305,35 +305,46 @@ class MatchOutcome:
     ``mu[i]`` is the retained similarity of A's word ``i`` (0 when it found
     no partner above the threshold). The pair arrays list, in ascending
     ``a_index`` order, each matched word with its chosen B-side index and
-    similarity. One B word may partner several A words.
+    similarity. One B word may partner several A words. ``matched_b_ids``
+    is derived from ``b_indices``; passing it is allowed, but a value that
+    disagrees is rejected.
+
+    The constructor is the one place the whole invariant is checked, so
+    every outcome, however it was built, is consistent.
     """
 
     a_indices: np.ndarray
     b_indices: np.ndarray
     lambdas: np.ndarray
     mu: np.ndarray
-    matched_b_ids: frozenset[int] = field(default_factory=frozenset)
+    matched_b_ids: Optional[frozenset[int]] = None
 
     def __post_init__(self):
         a_idx = np.ascontiguousarray(self.a_indices, dtype=np.int64)
         b_idx = np.ascontiguousarray(self.b_indices, dtype=np.int64)
         lam = np.ascontiguousarray(self.lambdas, dtype=np.float64)
         mu = np.ascontiguousarray(self.mu, dtype=np.float64)
-        if not (a_idx.shape == b_idx.shape == lam.shape) or a_idx.ndim != 1:
-            raise ContractError("pair arrays must be aligned 1-D arrays")
-        if lam.size and (np.any(lam <= 0.0) or np.any(lam > 1.0)):
-            raise DomainError("pair similarities must lie in (0, 1]")
+        if not (a_idx.shape == b_idx.shape == lam.shape) or a_idx.ndim != 1 or mu.ndim != 1:
+            raise ContractError("pair arrays and mu must be aligned 1-D arrays")
         if a_idx.size:
+            if not (lam.min() > 0.0 and lam.max() <= 1.0):
+                raise DomainError("pair similarities must lie in (0, 1]")
             if np.any(np.diff(a_idx) <= 0):
                 raise ContractError("pairs must be ordered by strictly ascending a_index")
-            if int(a_idx.max()) >= mu.size or int(a_idx.min()) < 0:
+            if a_idx[0] < 0 or a_idx[-1] >= mu.size:
                 raise ContractError("pair a_index out of range")
+            if b_idx.min() < 0:
+                raise ContractError("pair b_index must be non-negative")
             if not np.array_equal(mu[a_idx], lam):
                 raise ContractError("mu must hold each pair's similarity at its a_index")
+        if np.count_nonzero(mu) != a_idx.size:
+            raise ContractError("mu must be 0 for every word without a pair")
+        matched = frozenset(b_idx.tolist())
+        if self.matched_b_ids is not None and frozenset(self.matched_b_ids) != matched:
+            raise ContractError("matched_b_ids must be the set of b_indices")
         for name, arr in (("a_indices", a_idx), ("b_indices", b_idx), ("lambdas", lam), ("mu", mu)):
             object.__setattr__(self, name, _readonly(arr))
-        if not isinstance(self.matched_b_ids, frozenset):
-            object.__setattr__(self, "matched_b_ids", frozenset(int(x) for x in self.matched_b_ids))
+        object.__setattr__(self, "matched_b_ids", matched)
 
     @classmethod
     def from_arrays(cls, mu: np.ndarray, partners: np.ndarray) -> "MatchOutcome":
@@ -347,14 +358,8 @@ class MatchOutcome:
         partners = np.ascontiguousarray(partners, dtype=np.int64)
         if mu.shape != partners.shape or mu.ndim != 1:
             raise ContractError("mu and partners must be aligned 1-D arrays")
-        if np.any((mu != 0.0) & (partners < 0)):
-            raise ContractError("a word with a retained similarity must have a partner")
-        hit = partners >= 0
-        a_idx = np.flatnonzero(hit)
-        b_idx = partners[a_idx]
-        lam = mu[a_idx]
-        matched = frozenset(int(x) for x in np.unique(b_idx))
-        return cls(a_indices=a_idx, b_indices=b_idx, lambdas=lam, mu=mu, matched_b_ids=matched)
+        a_idx = np.flatnonzero(partners >= 0)
+        return cls(a_indices=a_idx, b_indices=partners[a_idx], lambdas=mu[a_idx], mu=mu)
 
     @property
     def pair_count(self) -> int:
@@ -371,8 +376,7 @@ class MatchOutcome:
         return (np.array_equal(self.a_indices, other.a_indices)
                 and np.array_equal(self.b_indices, other.b_indices)
                 and np.array_equal(self.lambdas, other.lambdas)
-                and np.array_equal(self.mu, other.mu)
-                and self.matched_b_ids == other.matched_b_ids)
+                and np.array_equal(self.mu, other.mu))
 
 
 def normalize_weights(raw: Sequence[float]) -> np.ndarray:
@@ -408,7 +412,7 @@ def image_similarity(a: ImageObject, b: ImageObject, match: MatchOutcome) -> flo
         raise ContractError("match does not cover image A (mu length mismatch)")
     if match.pair_count == 0:
         return 0.0
-    if int(match.b_indices.max()) >= b.word_count or int(match.b_indices.min()) < 0:
+    if int(match.b_indices.max()) >= b.word_count:
         raise ContractError("match references B-side indices out of range")
 
     wa = aw[match.a_indices]

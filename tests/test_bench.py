@@ -93,12 +93,6 @@ class TestRunHitrate:
                             top_k=2, mu0=0.7, seed=9, algorithm="psmi")
         assert run_hitrate(cfg) == run_hitrate(cfg)
 
-    def test_threads_do_not_change_results(self, tmp_path):
-        write_benchmark(tmp_path)
-        cfg = HitRateConfig(data_dir=str(tmp_path), query_count=6, rho_grid=(0.1,),
-                            top_k=1, mu0=0.7, seed=9, algorithm="smii")
-        assert run_hitrate(cfg, threads=1) == run_hitrate(cfg, threads=4)
-
     def test_missing_truth_is_domain_error(self, tmp_path):
         write_benchmark(tmp_path)
         (tmp_path / "truth.json").unlink()

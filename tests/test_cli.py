@@ -131,10 +131,24 @@ class TestBenchCommand:
         header = out.splitlines()[0]
         assert header.startswith("algo,gamma,m,n,d,k,mu0,seed")
 
-    def test_thread_flag_accepted(self, capsys):
+    def test_single_algorithm_to_stdout(self, capsys):
         code, out, _ = run_cli(capsys, "bench", "--algos", "smii", "--gamma", "2",
-                               "--m", "2", "--n", "2", "--d", "3", "--k", "8", "--threads", "2")
+                               "--m", "2", "--n", "2", "--d", "3", "--k", "8")
         assert code == 0 and "smii" in out
+
+
+class TestFlags:
+    @pytest.mark.parametrize("argv", [
+        ("bench", "--algos", "smii", "--threads", "2"),
+        ("build-psmi", "--vocab", "v.jsonl", "--mu0", "0.7", "--out", "i.psmi", "--csv", "x"),
+        ("build-psmi", "--vocab", "v.jsonl", "--mu0", "0.7", "--out", "i.psmi", "--seed", "1"),
+        ("sim", "a.jsonl", "b.jsonl", "--seed", "1"),
+        ("gen", "--out", "data", "--csv", "x"),
+    ])
+    def test_flag_not_read_by_subcommand_is_usage_error(self, argv):
+        with pytest.raises(SystemExit) as info:
+            main(list(argv))
+        assert info.value.code == 2
 
 
 class TestEvalCommand:

@@ -211,6 +211,19 @@ class TestValidation:
             MatchOutcome(a_indices=[0], b_indices=[0], lambdas=[0.5], mu=[0.9])
         with pytest.raises(ContractError):
             MatchOutcome.from_arrays(np.array([0.5, 0.3]), np.array([0, -1]))
+        with pytest.raises(ContractError):  # mu nonzero off the pairs
+            MatchOutcome(a_indices=[0], b_indices=[0], lambdas=[0.5], mu=[0.5, 0.3])
+        with pytest.raises(ContractError):
+            MatchOutcome(a_indices=[0], b_indices=[-1], lambdas=[0.5], mu=[0.5])
+        with pytest.raises(ContractError):
+            MatchOutcome(a_indices=[0], b_indices=[1], lambdas=[0.5], mu=[0.5],
+                         matched_b_ids={7})
+        built = MatchOutcome(a_indices=[0, 2], b_indices=[1, 1], lambdas=[0.5, 0.8],
+                             mu=[0.5, 0.0, 0.8])
+        assert built == outcome([0.5, 0.0, 0.8], [1, -1, 1])
+        assert built.matched_b_ids == frozenset({1})
+        assert MatchOutcome(a_indices=[0, 2], b_indices=[1, 1], lambdas=[0.5, 0.8],
+                            mu=[0.5, 0.0, 0.8], matched_b_ids=[1]) == built
 
 
 class TestTypes:
