@@ -2,7 +2,7 @@
 
 Subcommands: gen, build-vocab, quantize, build-psmi, sim, bench,
 eval-hitrate. Each accepts only the flags it reads: --seed on gen,
-build-vocab, quantize, bench and eval-hitrate; --csv on bench and
+build-vocab, bench, eval-hitrate and quantize --k; --csv on bench and
 eval-hitrate, which write CSV there or to stdout. Exit codes: 0 success, 1
 for validation or file-format problems, 2 for violated preconditions and
 usage errors, a flag the subcommand does not read included.
@@ -152,15 +152,18 @@ def cmd_quantize(args) -> int:
             images.append(ImageObject(image_id=name, weights=counts / counts.max(),
                                       word_ids=uniq, vocab=vocab, counts=counts))
         dataset = Dataset(images=tuple(images), vocab=vocab)
+        seeded = ""
     else:
-        vocab, dataset = kmeans_quantize(feature_sets, args.k, args.seed, image_ids=image_ids)
+        seed = 0 if args.seed is None else args.seed
+        vocab, dataset = kmeans_quantize(feature_sets, args.k, seed, image_ids=image_ids)
         if args.out_vocab:
             save_vocabulary(vocab, args.out_vocab)
+        seeded = f", seed {seed}"
     if args.weighting == "tfidf":
         dataset = tfidf_weights(dataset)
     save_images(dataset, args.out)
     print(f"quantized {len(dataset)} images against {vocab.size} words into {args.out} "
-          f"({args.weighting} weights, seed {args.seed})")
+          f"({args.weighting} weights{seeded})")
     return 0
 
 
@@ -232,12 +235,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_build_vocab)
 
-    p = subs.add_parser("quantize", parents=[seeded], help="quantize raw features against a vocabulary")
+    p = subs.add_parser("quantize", help="quantize raw features against a vocabulary")
     p.add_argument("--features", required=True)
-    p.add_argument("--vocab", default=None, help="existing vocabulary (otherwise cluster with --k)")
-    p.add_argument("--k", type=int, default=None)
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--vocab", default=None, help="existing vocabulary (otherwise cluster with --k)")
+    source.add_argument("--k", type=int, default=None)
+    p.add_argument("--seed", type=int, default=None, help="random seed with --k (default 0)")
     p.add_argument("--out", required=True)
-    p.add_argument("--out-vocab", default=None)
+    p.add_argument("--out-vocab", default=None, help="where to save the vocabulary made with --k")
     p.add_argument("--weighting", choices=("tfidf", "count"), default="tfidf")
     p.set_defaults(fn=cmd_quantize)
 
@@ -254,8 +259,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "sim" and args.algo == "psmi" and not args.index:
         parser.error("sim --algo psmi requires --index")
-    if args.command == "quantize" and not args.vocab and args.k is None:
-        parser.error("quantize needs --vocab or --k")
+    if args.command == "quantize" and args.vocab and (args.seed is not None or args.out_vocab):
+        parser.error("quantize --vocab reads no --seed or --out-vocab")
     try:
         return args.fn(args)
     except (PreconditionError, ContractError) as exc:

@@ -37,9 +37,8 @@ __all__ = ["cosine", "best_match", "smin_match", "smin_similarity", "Matcher"]
 # Any matcher maps (query image, target image, threshold) to an outcome.
 Matcher = Callable[[ImageObject, ImageObject, float], MatchOutcome]
 
-# Exact scores are recomputed through one scalar kernel; values this close
-# to 1 trigger the identical-vector check (a unit vector dotted with itself
-# can fall short of 1.0 by a few ulp only).
+# Values this close to 1 trigger the identical-vector check (a unit vector
+# dotted with itself can fall short of 1.0 by a few ulp only).
 _IDENTITY_BAND = 1e-9
 
 
@@ -47,9 +46,10 @@ def _pair_score(u_a: np.ndarray, u_b: np.ndarray,
                 raw_a: np.ndarray, raw_b: np.ndarray) -> float:
     """Clamped cosine of two unit vectors, exact-identity corrected.
 
-    This is the one scalar similarity kernel in the package. Every matcher
-    funnels candidate scoring through it, which is what guarantees exact
-    cross-algorithm agreement.
+    This is the scalar form of the one similarity kernel in the package:
+    the naive scan and :func:`cosine` score through it, and
+    :func:`_pair_scores` applies the same rules to arrays of pairs, which
+    is what guarantees exact cross-algorithm agreement.
     """
     s = float(np.dot(u_a, u_b))
     if s <= 0.0:
@@ -58,6 +58,21 @@ def _pair_score(u_a: np.ndarray, u_b: np.ndarray,
         s = 1.0
     if s > 1.0 - _IDENTITY_BAND and s != 1.0 and np.array_equal(raw_a, raw_b):
         return 1.0
+    return s
+
+
+def _pair_scores(u_a: np.ndarray, u_b: np.ndarray,
+                 raw_a: np.ndarray, raw_b: np.ndarray) -> np.ndarray:
+    """:func:`_pair_score` over broadcastable ``(..., d)`` rows.
+
+    A vector-by-vector ``matmul`` runs the same dot routine as ``np.dot`` on
+    two vectors, so every score is bit-identical to the scalar kernel's.
+    """
+    s = (u_a[..., None, :] @ u_b[..., :, None])[..., 0, 0]
+    s[s <= 0.0] = 0.0
+    np.minimum(s, 1.0, out=s)
+    if s.max(initial=0.0) > 1.0 - _IDENTITY_BAND:
+        s[(s > 1.0 - _IDENTITY_BAND) & (raw_a == raw_b).all(axis=-1)] = 1.0
     return s
 
 

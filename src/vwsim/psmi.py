@@ -30,7 +30,7 @@ from .core import (
     image_similarity,
 )
 from .errors import DomainError, PreconditionError, UnknownWordError
-from .matching import _pair_score
+from .matching import _pair_scores
 
 __all__ = [
     "PsimEntry",
@@ -46,8 +46,8 @@ __all__ = [
     "psmi_similarity",
 ]
 
-# Candidate margin for the vectorized all-pairs pass; candidates are then
-# rescored through the exact scalar kernel before thresholding.
+# Candidate margin for the all-pairs matrix product; candidates are then
+# rescored through the exact kernel before thresholding.
 _CANDIDATE_MARGIN = 1e-9
 
 
@@ -189,9 +189,10 @@ class PsimIndex:
 def build_psmi_index(vocab: Vocabulary, mu0_build: float) -> PsimIndex:
     """Precompute every word's potential similar words above ``mu0_build``.
 
-    The all-pairs pass runs as chunked matrix products; shortlisted pairs
-    are rescored through the shared scalar kernel so stored similarities
-    match what the naive matcher would compute on the same two words.
+    The all-pairs pass runs as chunked matrix products. Each chunk's
+    shortlist is rescored through the shared kernel, so stored similarities
+    match what the naive matcher would compute on the same two words, and
+    every self entry comes out at exactly 1.0.
     """
     mu0_build = check_threshold(mu0_build)
     unit = vocab.unit_matrix
@@ -200,28 +201,22 @@ def build_psmi_index(vocab: Vocabulary, mu0_build: float) -> PsimIndex:
 
     chunk = max(1, (1 << 22) // k)
     cut = mu0_build - _CANDIDATE_MARGIN
-    row_parts, col_parts = [np.arange(k)], [np.arange(k)]
+    row_parts, col_parts, sim_parts = [], [], []
     for lo in range(0, k, chunk):
-        hi = min(k, lo + chunk)
-        rows, cols = np.nonzero(unit[lo:hi] @ unit.T > cut)
+        rows, cols = np.nonzero(unit[lo:lo + chunk] @ unit.T > cut)
         rows += lo
-        off_diagonal = rows != cols
-        row_parts.append(rows[off_diagonal])
-        col_parts.append(cols[off_diagonal])
+        sims = _pair_scores(unit[rows], unit[cols], raw[rows], raw[cols])
+        keep = sims > mu0_build
+        row_parts.append(rows[keep])
+        col_parts.append(cols[keep])
+        sim_parts.append(sims[keep])
     rows = np.concatenate(row_parts)
     cols = np.concatenate(col_parts)
-    sims = np.ones(rows.size, dtype=np.float64)
-    sims[k:] = [_pair_score(unit[i], unit[j], raw[i], raw[j])
-                for i, j in zip(rows[k:].tolist(), cols[k:].tolist())]
-    # The first k entries are the self entries; at 1.0 they always pass.
-    keep = sims > mu0_build
-    rows, cols, sims = rows[keep], cols[keep], sims[keep]
+    sims = np.concatenate(sim_parts)
 
     # Per word: self first (even ahead of another word at 1.0), then
     # descending similarity, ties by ascending id.
-    sort_key = -sims
-    sort_key[:k] = -np.inf
-    order = np.lexsort((cols, sort_key, rows))
+    order = np.lexsort((cols, -sims, rows != cols, rows))
     return PsimIndex.from_lists(
         frequencies=vocab.frequencies,
         offsets=np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=k)))),
@@ -258,14 +253,14 @@ def psmi_match(a: ImageObject, b: ImageObject, mu0_query: float, idx: PsimIndex)
 
     For each query word, the first list entry above ``mu0_query`` whose word
     id occurs in B wins; its partner is the smallest B position holding that
-    id. Requires id-carrying images of the indexed vocabulary and
+    id. Requires images backed by the indexed vocabulary and
     ``mu0_query >= mu0_build``.
     """
     mu0_query = check_threshold(mu0_query)
     if a.word_count == 0 or b.word_count == 0:
         raise DomainError("cannot match an empty image")
-    if a.word_ids is None or b.word_ids is None:
-        raise PreconditionError("offline-index matching requires vocabulary word ids on both images")
+    if a.vocab is None or b.vocab is None:
+        raise PreconditionError("offline-index matching requires vocabulary-backed images")
     if mu0_query < idx.mu0_build:
         raise PreconditionError(
             f"query threshold {mu0_query} is below the index build threshold {idx.mu0_build}")
@@ -275,7 +270,7 @@ def psmi_match(a: ImageObject, b: ImageObject, mu0_query: float, idx: PsimIndex)
     if int(a_ids.max()) >= k or int(b_ids.max()) >= k:
         raise PreconditionError("image carries word ids outside the indexed vocabulary")
     for img in (a, b):
-        if img.vocab is not None and img.vocab.checksum != idx.vocab_checksum:
+        if img.vocab.checksum != idx.vocab_checksum:
             raise PreconditionError("image vocabulary differs from the one the index was built for")
 
     n = b.word_count

@@ -2,10 +2,9 @@
 
 Instead of scanning all of B once per query word, build an exact top-1
 cosine index over B a single time per match call, then answer each query
-word with one probe. The probe uses a vectorized inner-product pass to
-shortlist near-maximal rows, then settles the winner with the same scalar
-kernel the naive matcher uses, so results are bit-identical to
-:func:`vwsim.matching.smin_match`.
+word with one probe. The probe scores every indexed row with the array
+form of the kernel the naive matcher uses and takes the first maximum, so
+results are bit-identical to :func:`vwsim.matching.smin_match`.
 
 The index is intentionally rebuilt on every match call: it belongs to one
 target image and is never reused across calls (reuse across the whole
@@ -28,13 +27,9 @@ from .core import (
     unit_vector,
 )
 from .errors import ContractError, DomainError
-from .matching import _pair_score
+from .matching import _pair_scores
 
 __all__ = ["TempIndex", "build_temp_index", "query_top1", "smii_match", "smii_similarity"]
-
-# Rows whose vectorized score is within this margin of the top are rescored
-# exactly; the margin dwarfs any BLAS-vs-scalar rounding difference.
-_CANDIDATE_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -73,21 +68,9 @@ def query_top1(idx: TempIndex, q) -> tuple[int, float]:
     raw_q = as_vector(q)
     if raw_q.size != idx.dimension:
         raise ContractError(f"query dimension {raw_q.size} != index dimension {idx.dimension}")
-    u_q = unit_vector(raw_q)
-
-    scores = idx.unit @ u_q
-    np.clip(scores, 0.0, 1.0, out=scores)
-    top = float(scores.max())
-    candidates = np.flatnonzero(scores >= top - _CANDIDATE_MARGIN)
-
-    best = -1.0
-    best_j = 0
-    for j in candidates:
-        s = _pair_score(idx.unit[j], u_q, raw_q, idx.raw[j])
-        if s > best:
-            best = s
-            best_j = int(j)
-    return best_j, best
+    scores = _pair_scores(idx.unit, unit_vector(raw_q), idx.raw, raw_q)
+    j = int(scores.argmax())
+    return j, float(scores[j])
 
 
 def smii_match(a: ImageObject, b: ImageObject, mu0: float) -> MatchOutcome:

@@ -144,6 +144,10 @@ class TestFlags:
         ("build-psmi", "--vocab", "v.jsonl", "--mu0", "0.7", "--out", "i.psmi", "--seed", "1"),
         ("sim", "a.jsonl", "b.jsonl", "--seed", "1"),
         ("gen", "--out", "data", "--csv", "x"),
+        ("quantize", "--features", "f.jsonl", "--vocab", "v.jsonl", "--out", "o.jsonl", "--k", "9"),
+        ("quantize", "--features", "f.jsonl", "--vocab", "v.jsonl", "--out", "o.jsonl", "--seed", "5"),
+        ("quantize", "--features", "f.jsonl", "--vocab", "v.jsonl", "--out", "o.jsonl",
+         "--out-vocab", "w.jsonl"),
     ])
     def test_flag_not_read_by_subcommand_is_usage_error(self, argv):
         with pytest.raises(SystemExit) as info:

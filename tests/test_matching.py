@@ -201,3 +201,51 @@ class TestSharedNormalizationPath:
         for i in range(10):
             for j in range(10):
                 assert cosine(mat[i], mat[j]) == _pair_score(units[i], units[j], mat[i], mat[j])
+
+
+class TestPairScoresKernel:
+    """The array kernel must reproduce the scalar one bit for bit: the smii
+    probe and the offline build score through it, smin through the scalar."""
+
+    @staticmethod
+    def _vectors(d):
+        rng = np.random.RandomState(229 + d)
+        raw = rng.standard_normal((40, d))
+        raw[1] = raw[0]                                      # duplicate
+        raw[2] = raw[0]
+        raw[2, 0] = np.nextafter(raw[0, 0], np.inf)          # near-identical, not equal
+        raw[3] = 2.0 * raw[0]                                # parallel, not identical
+        raw[4] = -raw[0]                                     # negative cosine
+        return raw
+
+    @pytest.mark.parametrize("d", [2, 3, 16, 17, 64, 256])
+    def test_array_kernel_equals_scalar_kernel_bitwise(self, d):
+        from vwsim.core import unit_rows
+        from vwsim.matching import _pair_score, _pair_scores
+
+        raw = self._vectors(d)
+        unit = unit_rows(raw)
+        # The identity rule must be exercised, not just allowed.
+        assert any(float(np.dot(unit[i], unit[i])) != 1.0 for i in range(len(raw)))
+        rng = np.random.RandomState(233 + d)
+        i = np.concatenate([np.arange(len(raw)), [0, 1, 0, 2, 0, 3, 0], rng.randint(0, 40, 500)])
+        j = np.concatenate([np.arange(len(raw)), [1, 0, 2, 0, 3, 0, 4], rng.randint(0, 40, 500)])
+        gathered = _pair_scores(unit[i], unit[j], raw[i], raw[j])
+        scalar = [_pair_score(unit[a], unit[b], raw[a], raw[b]) for a, b in zip(i, j)]
+        assert gathered.tobytes() == np.array(scalar).tobytes()
+
+        for q in (0, 2, 4, 17):
+            broadcast = _pair_scores(unit, unit[q], raw, raw[q])
+            scalar = [_pair_score(unit[r], unit[q], raw[r], raw[q]) for r in range(len(raw))]
+            assert broadcast.tobytes() == np.array(scalar).tobytes()
+
+    def test_negative_zero_dot_scores_positive_zero(self):
+        from vwsim.matching import _pair_score, _pair_scores
+
+        # Both products are -0.0; whatever sign the dot routine returns for
+        # their sum, the score is +0.0.
+        u_a = np.array([[1.0, 0.0]])
+        u_b = np.array([[-0.0, -1.0]])
+        scores = _pair_scores(u_a, u_b, u_a, u_b)
+        assert scores.tobytes() == np.array([0.0]).tobytes()
+        assert scores.tobytes() == np.array([_pair_score(u_a[0], u_b[0], u_a[0], u_b[0])]).tobytes()
