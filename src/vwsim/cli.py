@@ -2,10 +2,11 @@
 
 Subcommands: gen, build-vocab, quantize, build-psmi, sim, bench,
 eval-hitrate. Each accepts only the flags it reads: --seed on gen,
-build-vocab, bench, eval-hitrate and quantize --k; --csv on bench and
-eval-hitrate, which write CSV there or to stdout. Exit codes: 0 success, 1
-for validation or file-format problems, 2 for violated preconditions and
-usage errors, a flag the subcommand does not read included.
+build-vocab, bench, eval-hitrate and quantize --k; --index on sim --algo
+psmi only; --csv on bench and eval-hitrate, which write CSV there or to
+stdout. Exit codes: 0 success, 1 for validation or file-format problems, 2
+for violated preconditions and usage errors, a flag the subcommand does not
+read and a malformed comma list (--m, --n, --rho) included.
 """
 
 from __future__ import annotations
@@ -15,10 +16,7 @@ import csv
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
-from .core import ImageObject
 from .bench import (
     ALGORITHMS,
     BENCH_COLUMNS,
@@ -32,7 +30,7 @@ from .bench import (
 from .errors import ContractError, PreconditionError, ValidationError, VwsimError
 from .io import Dataset, load_images, load_psmi, load_vocabulary, save_images, save_psmi, save_truth, save_vocabulary
 from .psmi import build_psmi_index, weighted_code_length
-from .quantize import assign_words, kmeans_quantize, tfidf_weights
+from .quantize import _count_images, assign_words, kmeans_quantize, tfidf_weights
 from .synth import GeneratorConfig, generate_synthetic
 
 
@@ -73,8 +71,8 @@ def cmd_bench(args) -> int:
     cfg = BenchConfig(
         algorithms=tuple(args.algos.split(",")),
         pair_count=args.gamma,
-        m_values=tuple(int(x) for x in args.m.split(",")),
-        n_values=tuple(int(x) for x in args.n.split(",")),
+        m_values=args.m,
+        n_values=args.n,
         dimension=args.d,
         vocab_size=args.k,
         mu0=args.mu0,
@@ -92,7 +90,7 @@ def cmd_eval_hitrate(args) -> int:
     cfg = HitRateConfig(
         data_dir=args.data,
         query_count=args.queries,
-        rho_grid=tuple(float(x) for x in args.rho.split(",")),
+        rho_grid=args.rho,
         top_k=args.top_k,
         mu0=args.mu0,
         seed=args.seed,
@@ -145,13 +143,7 @@ def cmd_quantize(args) -> int:
     image_ids = [img.image_id for img in raw.images]
     if args.vocab:
         vocab = load_vocabulary(args.vocab)
-        images = []
-        for name, mat in zip(image_ids, feature_sets):
-            ids = assign_words(vocab, mat)
-            uniq, counts = np.unique(ids, return_counts=True)
-            images.append(ImageObject(image_id=name, weights=counts / counts.max(),
-                                      word_ids=uniq, vocab=vocab, counts=counts))
-        dataset = Dataset(images=tuple(images), vocab=vocab)
+        dataset = _count_images(image_ids, [assign_words(vocab, m) for m in feature_sets], vocab)
         seeded = ""
     else:
         seed = 0 if args.seed is None else args.seed
@@ -175,6 +167,14 @@ def cmd_build_psmi(args) -> int:
     print(f"built index over {index.size} words ({entries} list entries, "
           f"weighted code length {weighted_code_length(index)}) into {args.out}")
     return 0
+
+
+def _comma_list(convert):
+    """argparse type: a comma-separated list of *convert* values, as a tuple."""
+    def parse(text: str) -> tuple:
+        return tuple(convert(x) for x in text.split(","))
+    parse.__name__ = f"comma-separated {convert.__name__}"
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -201,8 +201,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("bench", parents=[seeded, csv_out], help="timing sweep over random pairs")
     p.add_argument("--algos", default="smin,smii,psmi")
     p.add_argument("--gamma", type=int, default=100, help="pairs per sweep point")
-    p.add_argument("--m", default="40", help="comma list of query image sizes")
-    p.add_argument("--n", default="40", help="comma list of target image sizes")
+    p.add_argument("--m", type=_comma_list(int), default="40", help="comma list of query image sizes")
+    p.add_argument("--n", type=_comma_list(int), default="40", help="comma list of target image sizes")
     p.add_argument("--d", type=int, default=64)
     p.add_argument("--k", type=int, default=1024)
     p.add_argument("--mu0", type=float, default=0.7)
@@ -212,7 +212,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("eval-hitrate", parents=[seeded, csv_out], help="near-duplicate retrieval evaluation")
     p.add_argument("--data", required=True, help="directory written by gen")
     p.add_argument("--queries", type=int, default=100)
-    p.add_argument("--rho", default="0,0.1,0.2,0.4,0.8", help="comma list of perturbation levels")
+    p.add_argument("--rho", type=_comma_list(float), default="0,0.1,0.2,0.4,0.8",
+                   help="comma list of perturbation levels")
     p.add_argument("--top-k", type=int, default=1)
     p.add_argument("--mu0", type=float, default=0.7)
     p.add_argument("--algo", choices=ALGORITHMS, default="psmi")
@@ -257,8 +258,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "sim" and args.algo == "psmi" and not args.index:
-        parser.error("sim --algo psmi requires --index")
+    if args.command == "sim" and (args.algo == "psmi") != bool(args.index):
+        parser.error("sim takes --index exactly when --algo is psmi")
     if args.command == "quantize" and args.vocab and (args.seed is not None or args.out_vocab):
         parser.error("quantize --vocab reads no --seed or --out-vocab")
     try:

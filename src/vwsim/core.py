@@ -42,6 +42,16 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _column(values, dtype, what: str) -> np.ndarray:
+    """Coerce *values* to a contiguous array, failing as a :class:`DomainError`."""
+    try:
+        return np.ascontiguousarray(values, dtype=dtype)
+    except OverflowError as exc:
+        raise DomainError(f"{what} must fit in {np.dtype(dtype).name}") from exc
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"{what} must be a rectangular numeric array") from exc
+
+
 def as_vector(values) -> np.ndarray:
     """Coerce *values* to a read-only 1-D float64 vector, validating it."""
     try:
@@ -130,19 +140,21 @@ class Vocabulary:
     frequencies: np.ndarray
 
     def __post_init__(self):
-        vecs = np.ascontiguousarray(self.vectors, dtype=np.float64)
+        vecs = _column(self.vectors, np.float64, "vocabulary vectors")
         if vecs.ndim != 2 or vecs.shape[0] < 1 or vecs.shape[1] < 1:
             raise DomainError(f"vocabulary vectors must be a non-empty 2-D array, got {vecs.shape}")
-        if not np.all(np.isfinite(vecs)):
-            raise DomainError("vocabulary contains non-finite components")
-        norms = np.sqrt(np.einsum("ij,ij->i", vecs, vecs))
-        if np.any(np.abs(norms - 1.0) > UNIT_NORM_TOL):
-            raise DomainError("vocabulary vectors must be unit length")
-        freqs = np.ascontiguousarray(self.frequencies, dtype=np.int64)
+        finite = np.isfinite(vecs).all(axis=1)
+        if not finite.all():
+            raise DomainError(f"vocabulary word {int(finite.argmin())} has non-finite components")
+        off_unit = np.abs(np.sqrt(np.einsum("ij,ij->i", vecs, vecs)) - 1.0) > UNIT_NORM_TOL
+        if off_unit.any():
+            raise DomainError(f"vocabulary word {int(off_unit.argmax())} is not unit length")
+        freqs = _column(self.frequencies, np.int64, "frequencies")
         if freqs.shape != (vecs.shape[0],):
             raise ContractError("frequencies must have one entry per vocabulary word")
-        if np.any(freqs < 0):
-            raise DomainError("frequencies must be non-negative")
+        negative = freqs < 0
+        if negative.any():
+            raise DomainError(f"vocabulary word {int(negative.argmax())} has a negative frequency")
         object.__setattr__(self, "vectors", _readonly(vecs))
         object.__setattr__(self, "frequencies", _readonly(freqs))
 
@@ -206,7 +218,7 @@ class ImageObject:
     counts: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        weights = np.ascontiguousarray(self.weights, dtype=np.float64)
+        weights = _column(self.weights, np.float64, "weights")
         if weights.ndim != 1:
             raise ContractError("weights must be a 1-D array")
         if weights.size and (not np.all(np.isfinite(weights)) or np.any(weights <= 0.0) or np.any(weights > 1.0)):
@@ -216,7 +228,7 @@ class ImageObject:
 
         ids = self.word_ids
         if ids is not None:
-            ids = np.ascontiguousarray(ids, dtype=np.int64)
+            ids = _column(ids, np.int64, "word ids")
             if ids.shape != (m,):
                 raise ContractError("word_ids must align with weights")
             if m and np.any(ids < 0):
@@ -226,7 +238,7 @@ class ImageObject:
         if self.vectors is not None:
             if self.vocab is not None:
                 raise ContractError("pass either explicit vectors or a vocabulary, not both")
-            vecs = np.ascontiguousarray(self.vectors, dtype=np.float64)
+            vecs = _column(self.vectors, np.float64, "image vectors")
             if vecs.ndim != 2 or vecs.shape[0] != m:
                 raise ContractError("vectors must be an (m, d) matrix aligned with weights")
             if m and not np.all(np.isfinite(vecs)):
@@ -241,7 +253,7 @@ class ImageObject:
                 raise DomainError(f"image {self.image_id!r}: word id outside vocabulary")
 
         if self.counts is not None:
-            counts = np.ascontiguousarray(self.counts, dtype=np.int64)
+            counts = _column(self.counts, np.int64, "occurrence counts")
             if counts.shape != (m,):
                 raise ContractError("counts must align with weights")
             if m and np.any(counts < 1):

@@ -3,9 +3,11 @@
 Text formats are JSON-lines: one vocabulary entry or one image per line,
 named fields, floats written as shortest round-trip decimals. The offline
 index uses a fixed little-endian binary layout. All save/load pairs are
-exact inverses; loaders validate and raise :class:`ValidationError` (or the
-:class:`FormatError` / :class:`CompatibilityError` subclasses) rather than
-ever returning wrong data.
+exact inverses. The text loaders parse JSON into columns and leave every
+value rule to the :class:`Vocabulary` / :class:`ImageObject` constructors;
+every loader error is a :class:`ValidationError` (or the
+:class:`FormatError` / :class:`CompatibilityError` subclasses) naming the
+file, and the line for a problem in one image record.
 
 Feature extraction from real images is out of scope: raw-feature files
 (images whose words carry inline vectors) are the ingestion boundary.
@@ -21,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import ImageObject, Vocabulary
+from .core import ImageObject, Vocabulary, normalize_weights
 from .errors import CompatibilityError, FormatError, ValidationError
 from .psmi import PsimIndex
 
@@ -79,7 +81,6 @@ def save_vocabulary(vocab: Vocabulary, path) -> None:
 def load_vocabulary(path) -> Vocabulary:
     text = Path(path).read_text(encoding="utf-8")
     entries: dict[int, tuple[int, list[float]]] = {}
-    dim = None
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
@@ -88,29 +89,21 @@ def load_vocabulary(path) -> Vocabulary:
             wid = int(rec["word_id"])
             freq = int(rec["frequency"])
             vec = [float(c) for c in rec["vector"]]
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"{path}: line {lineno}: malformed vocabulary entry ({exc})") from exc
         if wid in entries:
             raise ValidationError(f"{path}: line {lineno}: duplicate word id {wid}")
-        if freq < 0:
-            raise ValidationError(f"{path}: line {lineno}: negative frequency")
-        if dim is None:
-            dim = len(vec)
-        elif len(vec) != dim:
-            raise ValidationError(f"{path}: line {lineno}: vector dimension {len(vec)} != {dim}")
         entries[wid] = (freq, vec)
     if not entries:
         raise ValidationError(f"{path}: vocabulary file has no entries")
     size = len(entries)
     if sorted(entries) != list(range(size)):
         raise ValidationError(f"{path}: word ids must be contiguous from 0 to {size - 1}")
-    vectors = np.array([entries[w][1] for w in range(size)], dtype=np.float64)
-    norms = np.sqrt(np.einsum("ij,ij->i", vectors, vectors))
-    bad = np.flatnonzero(np.abs(norms - 1.0) > 1e-9)
-    if bad.size:
-        raise ValidationError(f"{path}: word {int(bad[0])} is not unit length")
-    freqs = np.array([entries[w][0] for w in range(size)], dtype=np.int64)
-    return Vocabulary(vectors=vectors, frequencies=freqs)
+    freqs, vectors = zip(*(entries[w] for w in range(size)))
+    try:
+        return Vocabulary(vectors=vectors, frequencies=freqs)
+    except ValueError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
 
 
 def _word_record(img: ImageObject, i: int) -> dict:
@@ -134,6 +127,7 @@ def save_images(dataset: Dataset, path) -> None:
 
 
 def _parse_image(rec: dict, vocab: Optional[Vocabulary], where: str) -> ImageObject:
+    """Parse one record into columns; the ImageObject constructor validates them."""
     image_id = rec["image_id"]
     if not isinstance(image_id, str) or not image_id:
         raise ValidationError(f"{where}: image_id must be a non-empty string")
@@ -141,66 +135,25 @@ def _parse_image(rec: dict, vocab: Optional[Vocabulary], where: str) -> ImageObj
     if not isinstance(words, list) or not words:
         raise ValidationError(f"{where}: image {image_id!r} has no words")
 
-    has_id = "word_id" in words[0]
-    weights: list[float] = []
-    counts: list[int] = []
-    ids: list[int] = []
-    vectors: list[list[float]] = []
-    any_weight = False
-    for w in words:
-        if ("word_id" in w) != has_id:
-            raise ValidationError(f"{where}: image {image_id!r} mixes id and inline-vector words")
-        if has_id:
-            ids.append(int(w["word_id"]))
-        else:
-            vec = [float(c) for c in w["vector"]]
-            if vectors and len(vec) != len(vectors[0]):
-                raise ValidationError(f"{where}: image {image_id!r} mixes vector dimensions")
-            vectors.append(vec)
-        if "count" in w:
-            c = int(w["count"])
-            if c < 1:
-                raise ValidationError(f"{where}: image {image_id!r} has a count below 1")
-            counts.append(c)
-        else:
-            counts.append(-1)
-        if "weight" in w:
-            any_weight = True
-            weights.append(float(w["weight"]))
-        else:
-            weights.append(-1.0)
-        if "weight" not in w and "count" not in w:
-            raise ValidationError(f"{where}: image {image_id!r}: word needs a weight or a count")
+    for key in ("word_id", "count", "weight"):
+        if 0 < sum(key in w for w in words) < len(words):
+            raise ValidationError(f"{where}: image {image_id!r} mixes words with and without {key!r}")
+    if "weight" not in words[0] and "count" not in words[0]:
+        raise ValidationError(f"{where}: image {image_id!r}: words need a weight or a count")
 
-    count_arr: Optional[np.ndarray] = None
-    if all(c > 0 for c in counts):
-        count_arr = np.array(counts, dtype=np.int64)
-    elif any(c > 0 for c in counts):
-        raise ValidationError(f"{where}: image {image_id!r} mixes counted and uncounted words")
-
-    if any_weight:
-        if any(w < 0 for w in weights):
-            raise ValidationError(f"{where}: image {image_id!r} mixes weighted and unweighted words")
-        weight_arr = np.array(weights, dtype=np.float64)
-        if np.any(weight_arr <= 0.0) or np.any(weight_arr > 1.0) or not np.all(np.isfinite(weight_arr)):
-            raise ValidationError(f"{where}: image {image_id!r} has weights outside (0, 1]")
-    else:
-        weight_arr = count_arr / count_arr.max()
-
-    if has_id:
+    counts = [int(w["count"]) for w in words] if "count" in words[0] else None
+    weights = ([float(w["weight"]) for w in words] if "weight" in words[0]
+               else normalize_weights(counts))
+    if "word_id" in words[0]:
         if vocab is None:
             raise ValidationError(f"{where}: image {image_id!r} uses word ids but no vocabulary was given")
-        id_arr = np.array(ids, dtype=np.int64)
-        if np.any(id_arr < 0) or np.any(id_arr >= vocab.size):
-            raise ValidationError(f"{where}: image {image_id!r} references an unknown word id")
-        return ImageObject(image_id=image_id, weights=weight_arr, word_ids=id_arr,
-                           vocab=vocab, counts=count_arr)
-    mat = np.array(vectors, dtype=np.float64)
-    if not np.all(np.isfinite(mat)):
-        raise ValidationError(f"{where}: image {image_id!r} has non-finite vector components")
-    if np.any(np.einsum("ij,ij->i", mat, mat) == 0.0):
+        return ImageObject(image_id=image_id, weights=weights, counts=counts,
+                           word_ids=[int(w["word_id"]) for w in words], vocab=vocab)
+    img = ImageObject(image_id=image_id, weights=weights, counts=counts,
+                      vectors=[[float(c) for c in w["vector"]] for w in words])
+    if np.any(np.einsum("ij,ij->i", img.vectors, img.vectors) == 0.0):
         raise ValidationError(f"{where}: image {image_id!r} has a zero vector")
-    return ImageObject(image_id=image_id, weights=weight_arr, vectors=mat, counts=count_arr)
+    return img
 
 
 def load_images(path, vocab: Optional[Vocabulary] = None) -> Dataset:
@@ -216,13 +169,16 @@ def load_images(path, vocab: Optional[Vocabulary] = None) -> Dataset:
             raise ValidationError(f"{where}: not valid JSON ({exc})") from exc
         try:
             images.append(_parse_image(rec, vocab, where))
-        except (KeyError, TypeError, ValueError) as exc:
-            if isinstance(exc, ValidationError):
-                raise
+        except ValidationError:
+            raise
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"{where}: malformed image record ({exc})") from exc
     if not images:
         raise ValidationError(f"{path}: image file has no records")
-    return Dataset(images=tuple(images), vocab=vocab)
+    try:
+        return Dataset(images=tuple(images), vocab=vocab)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
 
 
 def save_truth(truth: dict[str, str], path) -> None:

@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import ImageObject, Vocabulary, unit_rows
+from .core import ImageObject, Vocabulary, normalize_weights, unit_rows
 from .errors import DomainError
 from .io import Dataset
 
@@ -62,6 +62,17 @@ def tfidf_weights(dataset: Dataset) -> Dataset:
         images.append(ImageObject(image_id=img.image_id, weights=weights, word_ids=ids,
                                   vectors=vectors, vocab=img.vocab, counts=counts))
     return Dataset(images=tuple(images), vocab=dataset.vocab)
+
+
+def _count_images(image_ids: Sequence[str], id_sets: Sequence[np.ndarray],
+                  vocab: Vocabulary) -> Dataset:
+    """One image per word-id occurrence list: per-word counts, weights count/max."""
+    images = []
+    for name, ids in zip(image_ids, id_sets):
+        uniq, counts = np.unique(ids, return_counts=True)
+        images.append(ImageObject(image_id=name, weights=normalize_weights(counts),
+                                  word_ids=uniq, vocab=vocab, counts=counts))
+    return Dataset(images=tuple(images), vocab=vocab)
 
 
 def assign_words(vocab: Vocabulary, features: np.ndarray) -> np.ndarray:
@@ -158,12 +169,8 @@ def kmeans_quantize(feature_sets: Sequence[np.ndarray], k: int, seed: int,
 
     # Relabel by first assignment; clusters nothing was assigned to go last.
     order = np.full(k, points.shape[0] + np.arange(k), dtype=np.int64)
-    first_seen = {}
-    for pos, c in enumerate(assignment.tolist()):
-        if c not in first_seen:
-            first_seen[c] = pos
-    for c, pos in first_seen.items():
-        order[c] = pos
+    seen, first = np.unique(assignment, return_index=True)
+    order[seen] = first
     relabel = np.empty(k, dtype=np.int64)
     relabel[np.argsort(order, kind="stable")] = np.arange(k)
 
@@ -172,12 +179,5 @@ def kmeans_quantize(feature_sets: Sequence[np.ndarray], k: int, seed: int,
     frequencies = np.bincount(assignment, minlength=k).astype(np.int64)
     vocab = Vocabulary(vectors=centroids, frequencies=frequencies)
 
-    images = []
-    offset = 0
-    for name, mat in zip(image_ids, mats):
-        ids = assignment[offset:offset + mat.shape[0]]
-        offset += mat.shape[0]
-        uniq, counts = np.unique(ids, return_counts=True)
-        images.append(ImageObject(image_id=name, weights=counts / counts.max(),
-                                  word_ids=uniq, vocab=vocab, counts=counts))
-    return vocab, Dataset(images=tuple(images), vocab=vocab)
+    id_sets = np.split(assignment, np.cumsum([m.shape[0] for m in mats])[:-1])
+    return vocab, _count_images(image_ids, id_sets, vocab)

@@ -16,7 +16,7 @@ import numpy as np
 from .core import ImageObject, Vocabulary, unit_rows
 from .errors import DomainError
 from .io import Dataset
-from .quantize import tfidf_weights
+from .quantize import _count_images, tfidf_weights
 
 __all__ = ["GeneratorConfig", "zipf_probabilities", "generate_synthetic", "perturb_image"]
 
@@ -87,21 +87,11 @@ def generate_synthetic(config: GeneratorConfig) -> tuple[Dataset, tuple[ImageObj
     vectors = unit_rows(rng.standard_normal((k, d)))
     probs = zipf_probabilities(k, config.zipf_exponent)
 
-    frequencies = np.zeros(k, dtype=np.int64)
-    raw_images = []
-    for i in range(config.image_count):
-        draws = rng.choice(k, size=config.words_per_image, p=probs)
-        ids, counts = np.unique(draws, return_counts=True)
-        np.add.at(frequencies, ids, counts)
-        raw_images.append((f"img{i:06d}", ids, counts))
-
-    vocab = Vocabulary(vectors=vectors, frequencies=frequencies)
-    images = tuple(
-        ImageObject(image_id=name, weights=counts / counts.max(),
-                    word_ids=ids, vocab=vocab, counts=counts)
-        for name, ids, counts in raw_images
-    )
-    dataset = tfidf_weights(Dataset(images=images, vocab=vocab))
+    draws = [rng.choice(k, size=config.words_per_image, p=probs)
+             for _ in range(config.image_count)]
+    vocab = Vocabulary(vectors=vectors, frequencies=np.bincount(np.concatenate(draws), minlength=k))
+    names = [f"img{i:06d}" for i in range(config.image_count)]
+    dataset = tfidf_weights(_count_images(names, draws, vocab))
 
     dup_count = int(config.duplicate_fraction * config.image_count + 0.5)
     sources = rng.choice(config.image_count, size=dup_count, replace=False)

@@ -148,11 +148,23 @@ class TestFlags:
         ("quantize", "--features", "f.jsonl", "--vocab", "v.jsonl", "--out", "o.jsonl", "--seed", "5"),
         ("quantize", "--features", "f.jsonl", "--vocab", "v.jsonl", "--out", "o.jsonl",
          "--out-vocab", "w.jsonl"),
+        ("sim", "a.jsonl", "a.jsonl", "--algo", "smin", "--index", "/nonexistent.psmi"),
     ])
     def test_flag_not_read_by_subcommand_is_usage_error(self, argv):
         with pytest.raises(SystemExit) as info:
             main(list(argv))
         assert info.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ("bench", "--m", "4x"),
+        ("bench", "--n", "40,"),
+        ("eval-hitrate", "--data", "d", "--rho", "0,x"),
+    ])
+    def test_malformed_comma_list_is_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(list(argv))
+        assert info.value.code == 2
+        assert "invalid comma-separated" in capsys.readouterr().err
 
 
 class TestEvalCommand:

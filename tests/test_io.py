@@ -137,7 +137,7 @@ class TestImageFiles:
         path = tmp_path / "images.jsonl"
         rec = json.dumps({"image_id": "x", "words": [{"word_id": 0, "weight": 1.0}]})
         path.write_text(rec + "\n" + rec + "\n")
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="images.jsonl: duplicate image id"):
             load_images(path, vocab=tiny_vocab)
 
     def test_word_without_weight_or_count(self, tmp_path):
@@ -152,6 +152,53 @@ class TestImageFiles:
             {"image_id": "x", "words": [{"vector": [0.0, 0.0], "weight": 1.0}]}) + "\n")
         with pytest.raises(ValidationError):
             load_images(path)
+
+
+def _vocab_entry(wid, freq=1, vector=(1.0, 0.0)):
+    return {"word_id": wid, "frequency": freq, "vector": list(vector)}
+
+
+def _image(*words):
+    return {"image_id": "x", "words": list(words)}
+
+
+NAN = float("nan")
+
+
+class TestMalformedRecords:
+    # One malformed record per rule. Every loader error is a ValidationError
+    # naming the file, and the line when one image record is at fault; the
+    # message is pinned where its wording is the point of the case.
+    @pytest.mark.parametrize("kind, records, message", [
+        ("vocab", [_vocab_entry(0, vector=(NAN, 0.0))], "non-finite"),
+        ("vocab", [_vocab_entry(0, freq=-1)], "negative frequency"),
+        ("vocab", [_vocab_entry(0, freq=2 ** 63)], "frequencies must fit in int64"),
+        ("vocab", [_vocab_entry(0), _vocab_entry(1, vector=(1.0,))], None),
+        ("vocab", [_vocab_entry(0, vector=())], None),
+        ("images", [_image({"vector": [NAN, 1.0], "weight": 1.0})], "non-finite"),
+        ("images", [_image({"word_id": 0, "weight": 1.5})], r"\(0, 1\]"),
+        ("images", [_image({"word_id": 0, "count": 0})], None),
+        ("images", [_image({"word_id": 0, "count": 2 ** 63})], "counts must fit in int64"),
+        ("images", [_image({"word_id": 2 ** 63, "weight": 1.0})], "word ids must fit in int64"),
+        ("images", [_image({"vector": [1.0, 0.0], "weight": 1.0},
+                           {"vector": [1.0], "weight": 1.0})], None),
+        ("images", [_image({"word_id": 0, "count": 1, "weight": 1.0},
+                           {"word_id": 1, "count": 2})], "mixes"),
+        ("images", [_image({"word_id": -1, "weight": 1.0})], None),
+        ("images", [{"image_id": "x", "words": {"word_id": 0, "weight": 1.0}}], "no words"),
+        ("images", [_image(3)], "malformed image record"),
+    ])
+    def test_rejected_as_validation_error(self, tmp_path, tiny_vocab, kind, records, message):
+        path = tmp_path / f"{kind}.jsonl"
+        path.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+        with pytest.raises(ValidationError, match=message) as info:
+            if kind == "vocab":
+                load_vocabulary(path)
+            else:
+                load_images(path, vocab=tiny_vocab)
+        assert str(path) in str(info.value)
+        if kind == "images":
+            assert "line 1" in str(info.value)
 
 
 class TestTruthFiles:
