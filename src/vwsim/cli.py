@@ -6,7 +6,7 @@ build-vocab, bench, eval-hitrate and quantize --k; --index on sim --algo
 psmi only; --csv on bench and eval-hitrate, which write CSV there or to
 stdout. Exit codes: 0 success, 1 for validation or file-format problems, 2
 for violated preconditions and usage errors, a flag the subcommand does not
-read and a malformed comma list (--m, --n, --rho) included.
+read and a malformed comma list (--algos, --m, --n, --rho) included.
 """
 
 from __future__ import annotations
@@ -69,7 +69,7 @@ def cmd_sim(args) -> int:
 
 def cmd_bench(args) -> int:
     cfg = BenchConfig(
-        algorithms=tuple(args.algos.split(",")),
+        algorithms=args.algos,
         pair_count=args.gamma,
         m_values=args.m,
         n_values=args.n,
@@ -169,11 +169,18 @@ def cmd_build_psmi(args) -> int:
     return 0
 
 
+def _algorithm(name: str) -> str:
+    """argparse converter: one name from :data:`bench.ALGORITHMS`."""
+    if name not in ALGORITHMS:
+        raise ValueError(name)
+    return name
+
+
 def _comma_list(convert):
     """argparse type: a comma-separated list of *convert* values, as a tuple."""
     def parse(text: str) -> tuple:
         return tuple(convert(x) for x in text.split(","))
-    parse.__name__ = f"comma-separated {convert.__name__}"
+    parse.__name__ = f"comma-separated {convert.__name__.lstrip('_')}"
     return parse
 
 
@@ -199,7 +206,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_sim)
 
     p = subs.add_parser("bench", parents=[seeded, csv_out], help="timing sweep over random pairs")
-    p.add_argument("--algos", default="smin,smii,psmi")
+    p.add_argument("--algos", type=_comma_list(_algorithm), default="smin,smii,psmi",
+                   help="comma list of algorithms")
     p.add_argument("--gamma", type=int, default=100, help="pairs per sweep point")
     p.add_argument("--m", type=_comma_list(int), default="40", help="comma list of query image sizes")
     p.add_argument("--n", type=_comma_list(int), default="40", help="comma list of target image sizes")

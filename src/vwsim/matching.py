@@ -65,14 +65,16 @@ def _pair_scores(u_a: np.ndarray, u_b: np.ndarray,
                  raw_a: np.ndarray, raw_b: np.ndarray) -> np.ndarray:
     """:func:`_pair_score` over broadcastable ``(..., d)`` rows.
 
-    A vector-by-vector ``matmul`` runs the same dot routine as ``np.dot`` on
-    two vectors, so every score is bit-identical to the scalar kernel's.
+    A vector-by-vector ``matmul`` runs ``np.dot``'s routine, so scores match
+    the scalar kernel bit for bit; raw rows are compared only for in-band pairs.
     """
     s = (u_a[..., None, :] @ u_b[..., :, None])[..., 0, 0]
     s[s <= 0.0] = 0.0
     np.minimum(s, 1.0, out=s)
-    if s.max(initial=0.0) > 1.0 - _IDENTITY_BAND:
-        s[(s > 1.0 - _IDENTITY_BAND) & (raw_a == raw_b).all(axis=-1)] = 1.0
+    band = s > 1.0 - _IDENTITY_BAND
+    if band.any():
+        raw_a, raw_b = np.broadcast_arrays(raw_a, raw_b)
+        s[band] = np.where((raw_a[band] == raw_b[band]).all(-1), 1.0, s[band])
     return s
 
 
@@ -122,12 +124,12 @@ def best_match(a_word, b_words: Sequence, mu0: float) -> tuple[float, Optional[i
     if len(b_words) == 0:
         raise DomainError("candidate word list is empty")
     raw_q = _word_vector(a_word)
-    raw_b = np.stack([_word_vector(w) for w in b_words])
-    if raw_b.shape[1] != raw_q.size:
+    raw_b = [_word_vector(w) for w in b_words]
+    if any(v.size != raw_q.size for v in raw_b):
         raise ContractError("query and candidate dimensions differ")
-    unit_b = unit_rows(raw_b)
+    unit_b = unit_rows(np.stack(raw_b))
     u_q = unit_vector(raw_q)
-    best, best_j = _scan_best(list(unit_b), list(raw_b), u_q, raw_q)
+    best, best_j = _scan_best(list(unit_b), raw_b, u_q, raw_q)
     if best > mu0:
         return best, best_j
     return 0.0, None

@@ -150,6 +150,8 @@ def kmeans_quantize(feature_sets: Sequence[np.ndarray], k: int, seed: int,
     seeding path. Frequencies are total assignment counts; each output image
     carries its per-word counts (weights are count/max pending tf-idf).
     """
+    if k < 1:
+        raise DomainError(f"need k >= 1 words, got {k}")
     mats = [np.asarray(f, dtype=np.float64) for f in feature_sets]
     if not mats or any(m.ndim != 2 or m.shape[0] < 1 for m in mats):
         raise DomainError("feature sets must be non-empty (n_i, d) arrays")

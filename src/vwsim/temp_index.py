@@ -1,10 +1,11 @@
 """Per-query temporary index over one image's words.
 
 Instead of scanning all of B once per query word, build an exact top-1
-cosine index over B a single time per match call, then answer each query
-word with one probe. The probe scores every indexed row with the array
-form of the kernel the naive matcher uses and takes the first maximum, so
-results are bit-identical to :func:`vwsim.matching.smin_match`.
+cosine index over B a single time per match call, then answer every query
+word of A with one kernel call over the whole (m, n) grid. The grid is
+scored with the array form of the kernel the naive matcher uses, and each
+row takes its first maximum, so results are bit-identical to
+:func:`vwsim.matching.smin_match`.
 
 The index is intentionally rebuilt on every match call: it belongs to one
 target image and is never reused across calls (reuse across the whole
@@ -24,7 +25,6 @@ from .core import (
     check_threshold,
     image_similarity,
     unit_rows,
-    unit_vector,
 )
 from .errors import ContractError, DomainError
 from .matching import _pair_scores
@@ -59,18 +59,27 @@ def build_temp_index(b: ImageObject) -> TempIndex:
     return TempIndex(raw=raw, unit=unit)
 
 
+def _top1(idx: TempIndex, raw_q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Best indexed row and its clamped cosine for each ``(q, d)`` query row.
+
+    One kernel call scores the whole (q, n) grid; ``argmax`` keeps the first
+    maximum, so ties go to the smallest indexed row. No threshold is applied.
+    """
+    if raw_q.shape[1] != idx.dimension:
+        raise ContractError(f"query dimension {raw_q.shape[1]} != index dimension {idx.dimension}")
+    scores = _pair_scores(idx.unit, unit_rows(raw_q)[:, None], idx.raw, raw_q[:, None])
+    best = scores.argmax(axis=1)
+    return best, scores[np.arange(len(best)), best]
+
+
 def query_top1(idx: TempIndex, q) -> tuple[int, float]:
     """Exact argmax of clamped cosine over the indexed words.
 
     Returns ``(index, cosine)`` exactly as a linear scan with
     smallest-index tie-breaking would. No threshold is applied here.
     """
-    raw_q = as_vector(q)
-    if raw_q.size != idx.dimension:
-        raise ContractError(f"query dimension {raw_q.size} != index dimension {idx.dimension}")
-    scores = _pair_scores(idx.unit, unit_vector(raw_q), idx.raw, raw_q)
-    j = int(scores.argmax())
-    return j, float(scores[j])
+    best, scores = _top1(idx, as_vector(q)[None])
+    return int(best[0]), float(scores[0])
 
 
 def smii_match(a: ImageObject, b: ImageObject, mu0: float) -> MatchOutcome:
@@ -78,20 +87,9 @@ def smii_match(a: ImageObject, b: ImageObject, mu0: float) -> MatchOutcome:
     mu0 = check_threshold(mu0)
     if a.word_count == 0 or b.word_count == 0:
         raise DomainError("cannot match an empty image")
-    idx = build_temp_index(b)
-    raw_a = a.vector_matrix()
-    if raw_a.shape[1] != idx.dimension:
-        raise ContractError("images have different vector dimensions")
-
-    m = a.word_count
-    mu = np.zeros(m, dtype=np.float64)
-    partners = np.full(m, -1, dtype=np.int64)
-    for i in range(m):
-        j, s = query_top1(idx, raw_a[i])
-        if s > mu0:
-            mu[i] = s
-            partners[i] = j
-    return MatchOutcome.from_arrays(mu, partners)
+    partners, mu = _top1(build_temp_index(b), a.vector_matrix())
+    hit = mu > mu0
+    return MatchOutcome.from_arrays(np.where(hit, mu, 0.0), np.where(hit, partners, -1))
 
 
 def smii_similarity(a: ImageObject, b: ImageObject, mu0: float) -> float:

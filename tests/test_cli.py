@@ -159,6 +159,7 @@ class TestFlags:
         ("bench", "--m", "4x"),
         ("bench", "--n", "40,"),
         ("eval-hitrate", "--data", "d", "--rho", "0,x"),
+        ("bench", "--algos", "smii,bogus"),
     ])
     def test_malformed_comma_list_is_usage_error(self, argv, capsys):
         with pytest.raises(SystemExit) as info:
@@ -226,6 +227,14 @@ class TestQuantizeCommands:
         with pytest.raises(SystemExit) as info:
             main(["quantize", "--features", str(features), "--out", str(tmp_path / "x.jsonl")])
         assert info.value.code == 2
+
+    @pytest.mark.parametrize("k", ["0", "-2"])
+    @pytest.mark.parametrize("command", ["build-vocab", "quantize"])
+    def test_nonpositive_k_is_an_error_line(self, features, tmp_path, capsys, command, k):
+        code, _, err = run_cli(capsys, command, "--features", str(features), "--k", k,
+                               "--out", str(tmp_path / "out.jsonl"))
+        assert code == 1
+        assert err.startswith("error:") and "Traceback" not in err
 
     def test_quantize_fresh_vocab(self, features, tmp_path, capsys):
         out = tmp_path / "quantized.jsonl"

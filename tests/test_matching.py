@@ -65,6 +65,10 @@ class TestBestMatch:
         with pytest.raises(DomainError):
             best_match([1.0, 0.0], [], 0.5)
 
+    def test_ragged_candidates(self):
+        with pytest.raises(ContractError):
+            best_match([1.0, 0.0], [[1.0, 0.0], [1.0, 0.0, 0.0]], 0.5)
+
     def test_bad_threshold(self):
         with pytest.raises(DomainError):
             best_match([1.0, 0.0], [[1.0, 0.0]], 1.0)
@@ -239,6 +243,17 @@ class TestPairScoresKernel:
             scalar = [_pair_score(unit[r], unit[q], raw[r], raw[q]) for r in range(len(raw))]
             assert broadcast.tobytes() == np.array(scalar).tobytes()
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 16, 17, 64])
+    def test_grid_equals_scalar_kernel_bitwise(self, d):
+        from vwsim.core import unit_rows
+        from vwsim.matching import _pair_score, _pair_scores
+
+        raw = self._vectors(d)[:12]
+        unit = unit_rows(raw)
+        grid = _pair_scores(unit, unit[:, None], raw, raw[:, None])
+        scalar = [[_pair_score(unit[j], unit[i], raw[j], raw[i]) for j in range(12)] for i in range(12)]
+        assert grid.tobytes() == np.array(scalar).tobytes()
+
     def test_negative_zero_dot_scores_positive_zero(self):
         from vwsim.matching import _pair_score, _pair_scores
 
@@ -249,3 +264,23 @@ class TestPairScoresKernel:
         scores = _pair_scores(u_a, u_b, u_a, u_b)
         assert scores.tobytes() == np.array([0.0]).tobytes()
         assert scores.tobytes() == np.array([_pair_score(u_a[0], u_b[0], u_a[0], u_b[0])]).tobytes()
+
+    def test_grid_compares_raw_rows_only_in_band(self):
+        import tracemalloc
+
+        from vwsim.core import unit_rows
+        from vwsim.matching import _pair_scores
+
+        # A = B: the diagonal is in band, every other pair is not. Comparing
+        # raw rows over all pairs would allocate an (m, n, d) block.
+        raw = np.random.RandomState(421).standard_normal((300, 256))
+        unit = unit_rows(raw)
+        tracemalloc.start()
+        try:
+            scores = _pair_scores(unit, unit[:, None], raw, raw[:, None])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert scores.shape == (300, 300)
+        assert np.array_equal(np.diag(scores), np.ones(300))
+        assert peak < 4 * scores.nbytes

@@ -113,6 +113,11 @@ class TestKmeans:
         with pytest.raises(DomainError):
             kmeans_quantize([np.array([[1.0, 0.0]])], 2, seed=0)
 
+    @pytest.mark.parametrize("k", [0, -2])
+    def test_nonpositive_k(self, k):
+        with pytest.raises(DomainError):
+            kmeans_quantize([np.array([[1.0, 0.0], [0.0, 1.0]])], k, seed=0)
+
     def test_frequencies_sum_to_point_count(self):
         rng = np.random.RandomState(179)
         feats = [rng.standard_normal((rng.randint(5, 20), 4)) for _ in range(5)]

@@ -117,21 +117,62 @@ class TestSmiiEquivalence:
         assert smii_match(a, b, 0.5) == smin_match(a, b, 0.5)
 
 
+class TestHardCases:
+    """Copies of a few base rows put pairs on the identity band and on ties."""
+
+    @staticmethod
+    def _hard_rows(rng, d):
+        base = rng.standard_normal((3, d))
+        near = base.copy()
+        near[:, 0] = np.nextafter(base[:, 0], np.inf)        # one ulp off, not equal
+        return np.concatenate([base, near, -base, 2.0 * base, base])   # last block: exact ties
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 16, 17, 64])
+    @pytest.mark.parametrize("mu0", [0.0, 0.5, 0.999999999])
+    def test_matches_smin_on_copies(self, d, mu0):
+        rng = np.random.RandomState(401 + d)
+        rows = self._hard_rows(rng, d)
+        b = raw_image("b", rows)
+        for _ in range(5):
+            a = raw_image("a", rows[rng.permutation(len(rows))[:rng.randint(1, len(rows) + 1)]])
+            assert smii_match(a, b, mu0) == smin_match(a, b, mu0)
+            assert smii_match(b, a, mu0) == smin_match(b, a, mu0)
+
+    def test_ties_go_to_smallest_index(self):
+        rows = self._hard_rows(np.random.RandomState(409), 16)
+        out = smii_match(raw_image("a", rows[:3]), raw_image("b", rows), 0.5)
+        assert out.b_indices.tolist() == [0, 1, 2]
+        assert out.lambdas.tolist() == [1.0, 1.0, 1.0]
+
+    def test_threshold_equal_to_stored_lambda_is_unmatched(self):
+        rng = np.random.RandomState(419)
+        a = random_raw_image(rng, 12, 8, "a")
+        b = random_raw_image(rng, 9, 8, "b")
+        full = smin_match(a, b, 0.0)
+        i = int(full.a_indices[0])
+        lam = float(full.mu[i])
+        assert 0.0 < lam < 1.0
+        cut = smii_match(a, b, lam)
+        assert cut == smin_match(a, b, lam)
+        assert cut.mu[i] == 0.0 and i not in cut.a_indices.tolist()
+
+
 class TestCallShape:
-    def test_exactly_one_probe_per_query_word(self, monkeypatch):
-        calls = {"n": 0}
-        real = temp_index_module.query_top1
+    def test_one_kernel_call_per_match(self, monkeypatch):
+        shapes = []
+        real = temp_index_module._pair_scores
 
-        def counting(idx, q):
-            calls["n"] += 1
-            return real(idx, q)
+        def counting(*args):
+            scores = real(*args)
+            shapes.append(scores.shape)
+            return scores
 
-        monkeypatch.setattr(temp_index_module, "query_top1", counting)
+        monkeypatch.setattr(temp_index_module, "_pair_scores", counting)
         rng = np.random.RandomState(83)
         a = random_raw_image(rng, 9, 4, "a")
         b = random_raw_image(rng, 5, 4, "b")
         temp_index_module.smii_match(a, b, 0.5)
-        assert calls["n"] == 9
+        assert shapes == [(9, 5)]
 
     def test_index_built_exactly_once_per_call(self, monkeypatch):
         calls = {"n": 0}
