@@ -1,9 +1,10 @@
 """Inside the offline index: per-word similar-word lists stored as CSR arrays.
 
-Builds a small index, walks a few lists (each a slice of the CSR arrays),
-shows the Huffman code lengths derived from the word frequencies (common
-words get short codes; the tree is statistics only, not storage), and
-round-trips the index through its binary file format.
+Builds a small index, walks a few lists (each a read-only ``(ids, sims)``
+slice pair of the CSR arrays, with no per-entry objects), shows the Huffman
+code lengths derived from the word frequencies (common words get short
+codes; the tree is statistics only, not storage), and round-trips the index
+through its binary file format.
 """
 
 import tempfile
@@ -32,7 +33,8 @@ index = build_psmi_index(vocab, mu0_build=0.6)
 
 print("per-word potential-similar lists (threshold 0.6), first 5 words:")
 for wid in range(5):
-    entries = ", ".join(f"{e.word_id}:{e.sim:.3f}" for e in huffman_search(index, wid))
+    ids, sims = huffman_search(index, wid)
+    entries = ", ".join(f"{w}:{s:.3f}" for w, s in zip(ids.tolist(), sims.tolist()))
     print(f"  word {wid} (freq {vocab.frequencies[wid]:>3}): [{entries}]")
 
 depths = huffman_depths(index.tree, K)

@@ -46,12 +46,10 @@ from .io import (
     save_truth,
     save_vocabulary,
 )
-from .matching import Matcher, best_match, cosine, smin_match, smin_similarity
+from .matching import best_match, cosine, smin_match, smin_similarity
 from .psmi import (
     HuffmanNode,
-    PsimEntry,
     PsimIndex,
-    PsimList,
     build_huffman_tree,
     build_psmi_index,
     huffman_depths,
@@ -77,12 +75,9 @@ __all__ = [
     "HitRateConfig",
     "HuffmanNode",
     "ImageObject",
-    "Matcher",
     "MatchOutcome",
     "PreconditionError",
-    "PsimEntry",
     "PsimIndex",
-    "PsimList",
     "TempIndex",
     "UnknownWordError",
     "ValidationError",

@@ -10,14 +10,12 @@ from __future__ import annotations
 import numpy as np
 
 from .core import ImageObject, unit_rows
-from .errors import ContractError, DomainError
+from .errors import ContractError
 
 __all__ = ["mean_vector_similarity"]
 
 
 def mean_vector_similarity(a: ImageObject, b: ImageObject) -> float:
-    if a.word_count == 0 or b.word_count == 0:
-        raise DomainError("cannot score an empty image")
     if a.dimension != b.dimension:
         raise ContractError("images have different vector dimensions")
     mean_a = (a.weights[:, None] * unit_rows(a.vector_matrix())).sum(axis=0)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -195,14 +195,13 @@ class Vocabulary:
             raise DomainError(f"word id {wid} outside vocabulary of size {self.size}")
         return VisualWord(word_id=wid, vector=self.vectors[wid], weight=weight)
 
-    def entries(self) -> Iterator[tuple[int, int, np.ndarray]]:
-        for wid in range(self.size):
-            yield wid, int(self.frequencies[wid]), self.vectors[wid]
-
 
 @dataclass(frozen=True)
 class ImageObject:
     """An image identifier plus an ordered sequence of weighted visual words.
+
+    An image has at least one word. This constructor is the one place that
+    is checked, so no matcher or scorer re-checks it.
 
     Stored columnar for efficiency: ``weights`` always, plus either an
     explicit ``(m, d)`` ``vectors`` matrix (raw words) or ``word_ids``
@@ -221,9 +220,11 @@ class ImageObject:
         weights = _column(self.weights, np.float64, "weights")
         if weights.ndim != 1:
             raise ContractError("weights must be a 1-D array")
-        if weights.size and (not np.all(np.isfinite(weights)) or np.any(weights <= 0.0) or np.any(weights > 1.0)):
-            raise DomainError(f"image {self.image_id!r}: weights must be in (0, 1]")
         m = weights.size
+        if m < 1:
+            raise DomainError(f"image {self.image_id!r} has no words")
+        if not np.all(np.isfinite(weights)) or np.any(weights <= 0.0) or np.any(weights > 1.0):
+            raise DomainError(f"image {self.image_id!r}: weights must be in (0, 1]")
         object.__setattr__(self, "weights", _readonly(weights))
 
         ids = self.word_ids
@@ -231,7 +232,7 @@ class ImageObject:
             ids = _column(ids, np.int64, "word ids")
             if ids.shape != (m,):
                 raise ContractError("word_ids must align with weights")
-            if m and np.any(ids < 0):
+            if np.any(ids < 0):
                 raise DomainError("word ids must be non-negative")
             object.__setattr__(self, "word_ids", _readonly(ids))
 
@@ -241,7 +242,7 @@ class ImageObject:
             vecs = _column(self.vectors, np.float64, "image vectors")
             if vecs.ndim != 2 or vecs.shape[0] != m:
                 raise ContractError("vectors must be an (m, d) matrix aligned with weights")
-            if m and not np.all(np.isfinite(vecs)):
+            if not np.all(np.isfinite(vecs)):
                 raise DomainError("image vectors have non-finite components")
             object.__setattr__(self, "vectors", _readonly(vecs))
         else:
@@ -249,14 +250,14 @@ class ImageObject:
                 raise ContractError("image needs explicit vectors or a vocabulary to resolve ids")
             if ids is None:
                 raise ContractError("vocabulary-backed image needs word_ids")
-            if m and int(ids.max(initial=-1)) >= self.vocab.size:
+            if int(ids.max()) >= self.vocab.size:
                 raise DomainError(f"image {self.image_id!r}: word id outside vocabulary")
 
         if self.counts is not None:
             counts = _column(self.counts, np.int64, "occurrence counts")
             if counts.shape != (m,):
                 raise ContractError("counts must align with weights")
-            if m and np.any(counts < 1):
+            if np.any(counts < 1):
                 raise DomainError("occurrence counts must be >= 1")
             object.__setattr__(self, "counts", _readonly(counts))
 
@@ -414,10 +415,9 @@ def image_similarity(a: ImageObject, b: ImageObject, match: MatchOutcome) -> flo
     the measure is directional and deliberately not symmetric, and an image
     scored against itself reaches 1 only in the single-word case.
     """
-    if a.word_count == 0 or b.word_count == 0:
-        raise DomainError("cannot score an empty image")
-    # Weight validity (finite, in (0, 1]) is enforced when an ImageObject is
-    # constructed, so it is not re-checked on this hot path.
+    # Weight validity (finite, in (0, 1]) and a non-empty word list are
+    # enforced when an ImageObject is constructed, so they are not
+    # re-checked on this hot path.
     aw = a.weights
     bw = b.weights
     if match.mu.size != a.word_count:

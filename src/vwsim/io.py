@@ -57,24 +57,19 @@ class Dataset:
             if img.image_id in seen:
                 raise ValidationError(f"duplicate image id {img.image_id!r}")
             seen.add(img.image_id)
-            if self.vocab is not None and img.word_ids is not None and img.word_count:
-                if int(img.word_ids.max()) >= self.vocab.size:
-                    raise ValidationError(
-                        f"image {img.image_id!r} references a word id outside the vocabulary")
+            if (self.vocab is not None and img.word_ids is not None
+                    and int(img.word_ids.max()) >= self.vocab.size):
+                raise ValidationError(
+                    f"image {img.image_id!r} references a word id outside the vocabulary")
 
     def __len__(self) -> int:
         return len(self.images)
 
 
-def _float(x) -> float:
-    return float(x)
-
-
 def save_vocabulary(vocab: Vocabulary, path) -> None:
-    lines = []
-    for wid, freq, vec in vocab.entries():
-        lines.append(json.dumps(
-            {"word_id": wid, "frequency": freq, "vector": [_float(c) for c in vec]}))
+    lines = [json.dumps({"word_id": wid, "frequency": freq, "vector": vec})
+             for wid, (freq, vec) in enumerate(zip(vocab.frequencies.tolist(),
+                                                   vocab.vectors.tolist()))]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -111,8 +106,8 @@ def _word_record(img: ImageObject, i: int) -> dict:
     if img.word_ids is not None:
         rec["word_id"] = int(img.word_ids[i])
     else:
-        rec["vector"] = [_float(c) for c in img.vectors[i]]
-    rec["weight"] = _float(img.weights[i])
+        rec["vector"] = img.vectors[i].tolist()
+    rec["weight"] = float(img.weights[i])
     if img.counts is not None:
         rec["count"] = int(img.counts[i])
     return rec
@@ -267,6 +262,10 @@ def load_psmi(path, vocab: Optional[Vocabulary] = None) -> PsimIndex:
         raise FormatError(f"{where}: stored build threshold out of range")
 
     n_records = (len(data) - _PSMI_PREFIX.size) // _RECORD.itemsize
+    # Every word owns at least a header record. Checking that before any
+    # K-sized array is made bounds allocation by the file size, not by K.
+    if k > n_records:
+        raise FormatError(f"{where}: truncated index file")
     records = np.frombuffer(data, dtype=_RECORD, count=n_records, offset=_PSMI_PREFIX.size)
     heads = records.view(_WORD_HEADER)
     counts = heads["count"]

@@ -16,7 +16,7 @@ implementations:
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -32,10 +32,7 @@ from .core import (
 )
 from .errors import ContractError, DomainError
 
-__all__ = ["cosine", "best_match", "smin_match", "smin_similarity", "Matcher"]
-
-# Any matcher maps (query image, target image, threshold) to an outcome.
-Matcher = Callable[[ImageObject, ImageObject, float], MatchOutcome]
+__all__ = ["cosine", "best_match", "smin_match", "smin_similarity"]
 
 # Values this close to 1 trigger the identical-vector check (a unit vector
 # dotted with itself can fall short of 1.0 by a few ulp only).
@@ -142,8 +139,6 @@ def smin_match(a: ImageObject, b: ImageObject, mu0: float) -> MatchOutcome:
     invocations, assembled in canonical (ascending query index) order.
     """
     mu0 = check_threshold(mu0)
-    if a.word_count == 0 or b.word_count == 0:
-        raise DomainError("cannot match an empty image")
     raw_a = a.vector_matrix()
     raw_b = b.vector_matrix()
     if raw_a.shape[1] != raw_b.shape[1]:

@@ -3,9 +3,11 @@
 For every vocabulary word, precompute the list of all other words whose
 clamped cosine exceeds a build threshold, stored in descending-similarity
 order (self first, at exactly 1.0). The index is three CSR arrays holding
-all lists back to back; a word's list is a slice of them. The Huffman tree
-over the word frequencies is derived from the frequencies alone, on demand,
-and serves code-length statistics only.
+all lists back to back, and they are its only copy: a word's list is the
+read-only ``(ids, sims)`` slice pair that :func:`huffman_search` returns,
+and no object is built per list entry. The Huffman tree over the word
+frequencies is derived from the frequencies alone, on demand, and serves
+code-length statistics only.
 
 Matching against this index never touches vectors at query time: walking a
 query word's list in descending order, the first entry present in the
@@ -33,8 +35,6 @@ from .errors import DomainError, PreconditionError, UnknownWordError
 from .matching import _pair_scores
 
 __all__ = [
-    "PsimEntry",
-    "PsimList",
     "HuffmanNode",
     "PsimIndex",
     "build_huffman_tree",
@@ -51,34 +51,13 @@ __all__ = [
 _CANDIDATE_MARGIN = 1e-9
 
 
-@dataclass(frozen=True)
-class PsimEntry:
-    """One potential similar word: vocabulary id plus its similarity."""
-
-    word_id: int
-    sim: float
-
-
-@dataclass(frozen=True)
-class PsimList:
-    """A word's potential similar words, self first, then descending sim."""
-
-    entries: tuple[PsimEntry, ...]
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
-
-
 @dataclass(eq=False)
 class HuffmanNode:
     """Leaf (word id, frequency, payload) or internal merge node."""
 
     frequency: int
     word_id: Optional[int] = None
-    payload: Optional[PsimList] = None
+    payload: Optional[tuple[np.ndarray, np.ndarray]] = None
     left: Optional["HuffmanNode"] = None
     right: Optional["HuffmanNode"] = None
 
@@ -166,8 +145,8 @@ class PsimIndex:
         return build_huffman_tree(self.frequencies)
 
     @cached_property
-    def lists(self) -> tuple[PsimList, ...]:
-        """Every word's list as objects, in word-id order."""
+    def lists(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """Every word's ``(ids, sims)`` slice pair, in word-id order."""
         return tuple(huffman_search(self, wid) for wid in range(self.size))
 
     @classmethod
@@ -228,24 +207,13 @@ def build_psmi_index(vocab: Vocabulary, mu0_build: float) -> PsimIndex:
     )
 
 
-def huffman_search(idx: PsimIndex, word_id: int) -> PsimList:
-    """Fetch a word's list as a slice of the CSR arrays."""
+def huffman_search(idx: PsimIndex, word_id: int) -> tuple[np.ndarray, np.ndarray]:
+    """A word's list as read-only ``(ids, sims)`` views of the CSR arrays."""
     wid = int(word_id)
     if not 0 <= wid < idx.size:
         raise UnknownWordError(f"word id {wid} is not in the indexed vocabulary")
     lo, hi = idx.csr_offsets[wid], idx.csr_offsets[wid + 1]
-    return PsimList(tuple(PsimEntry(w, s) for w, s in zip(idx.csr_ids[lo:hi].tolist(),
-                                                          idx.csr_sims[lo:hi].tolist())))
-
-
-def _multirange(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Concatenation of ``arange(s, s + L)`` for each (start, length) pair."""
-    total = int(lengths.sum())
-    out = np.ones(total, dtype=np.int64)
-    out[0] = starts[0]
-    boundaries = np.cumsum(lengths)[:-1]
-    out[boundaries] = starts[1:] - starts[:-1] - lengths[:-1] + 1
-    return np.cumsum(out)
+    return idx.csr_ids[lo:hi], idx.csr_sims[lo:hi]
 
 
 def psmi_match(a: ImageObject, b: ImageObject, mu0_query: float, idx: PsimIndex) -> MatchOutcome:
@@ -257,8 +225,6 @@ def psmi_match(a: ImageObject, b: ImageObject, mu0_query: float, idx: PsimIndex)
     ``mu0_query >= mu0_build``.
     """
     mu0_query = check_threshold(mu0_query)
-    if a.word_count == 0 or b.word_count == 0:
-        raise DomainError("cannot match an empty image")
     if a.vocab is None or b.vocab is None:
         raise PreconditionError("offline-index matching requires vocabulary-backed images")
     if mu0_query < idx.mu0_build:
@@ -278,16 +244,19 @@ def psmi_match(a: ImageObject, b: ImageObject, mu0_query: float, idx: PsimIndex)
     first_pos = np.full(k, n, dtype=np.int64)
     np.minimum.at(first_pos, b_ids, np.arange(n, dtype=np.int64))
 
+    # One segment per query word (never empty: every list holds its self
+    # entry). ``rank`` is the position inside the list, ``flat`` the CSR index.
     starts = idx.csr_offsets[a_ids]
     lengths = idx.csr_offsets[a_ids + 1] - starts
-    flat = _multirange(starts, lengths)
+    ends = np.cumsum(lengths)
+    seg_offsets = ends - lengths
+    total = int(ends[-1])
+    rank = np.arange(total) - np.repeat(seg_offsets, lengths)
+    flat = np.repeat(starts, lengths) + rank
     cand_ids = idx.csr_ids[flat]
     cand_sims = idx.csr_sims[flat]
     viable = (cand_sims > mu0_query) & (first_pos[cand_ids] < n)
 
-    total = flat.size
-    rank = flat - np.repeat(starts, lengths)
-    seg_offsets = np.concatenate(([0], np.cumsum(lengths)[:-1]))
     first_rank = np.minimum.reduceat(np.where(viable, rank, total), seg_offsets)
     hit = first_rank < total
 

@@ -39,8 +39,8 @@ class GeneratorConfig:
             raise DomainError("duplicate_fraction must lie in [0, 1]")
         if not (0.0 <= self.perturbation <= 1.0):
             raise DomainError("perturbation must lie in [0, 1]")
-        if self.zipf_exponent < 0.0:
-            raise DomainError("zipf_exponent must be non-negative")
+        if not (self.zipf_exponent >= 0.0):
+            raise DomainError("zipf_exponent must be non-negative (and not NaN)")
 
 
 def zipf_probabilities(size: int, exponent: float) -> np.ndarray:

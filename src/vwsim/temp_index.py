@@ -26,7 +26,7 @@ from .core import (
     image_similarity,
     unit_rows,
 )
-from .errors import ContractError, DomainError
+from .errors import ContractError
 from .matching import _pair_scores
 
 __all__ = ["TempIndex", "build_temp_index", "query_top1", "smii_match", "smii_similarity"]
@@ -50,8 +50,6 @@ class TempIndex:
 
 def build_temp_index(b: ImageObject) -> TempIndex:
     """Index all words of *b*; deterministic, one normalization pass."""
-    if b.word_count == 0:
-        raise DomainError("cannot index an empty image")
     raw = np.ascontiguousarray(b.vector_matrix(), dtype=np.float64)
     raw.setflags(write=False)
     unit = unit_rows(raw)
@@ -85,8 +83,6 @@ def query_top1(idx: TempIndex, q) -> tuple[int, float]:
 def smii_match(a: ImageObject, b: ImageObject, mu0: float) -> MatchOutcome:
     """Index-accelerated matching; output equals ``smin_match(a, b, mu0)``."""
     mu0 = check_threshold(mu0)
-    if a.word_count == 0 or b.word_count == 0:
-        raise DomainError("cannot match an empty image")
     partners, mu = _top1(build_temp_index(b), a.vector_matrix())
     hit = mu > mu0
     return MatchOutcome.from_arrays(np.where(hit, mu, 0.0), np.where(hit, partners, -1))

@@ -29,6 +29,6 @@ def test_symmetric():
 
 
 def test_empty_image_rejected():
-    empty = ImageObject(image_id="e", weights=np.zeros(0), vectors=np.zeros((0, 2)))
-    with pytest.raises(DomainError):
-        mean_vector_similarity(empty, raw("b", [[1.0, 0.0]]))
+    # An image has at least one word; the constructor refuses an empty one.
+    with pytest.raises(DomainError, match="no words"):
+        ImageObject(image_id="e", weights=np.zeros(0), vectors=np.zeros((0, 2)))

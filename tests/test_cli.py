@@ -110,6 +110,11 @@ class TestGen:
         for name in ("vocabulary.jsonl", "images.jsonl", "queries.jsonl", "truth.json"):
             assert (out2 / name).read_bytes() == (gen_dir / name).read_bytes()
 
+    def test_nan_zipf_is_an_error_line(self, tmp_path, capsys):
+        code, _, err = run_cli(capsys, "gen", "--out", str(tmp_path / "data"), "--zipf", "nan")
+        assert code == 1
+        assert err.startswith("error:") and "Traceback" not in err
+
 
 class TestBenchCommand:
     def test_csv_columns_and_rows(self, tmp_path, capsys):

@@ -166,12 +166,10 @@ class TestRangeAndMonotonicity:
 
 class TestValidation:
     def test_empty_image_rejected(self):
-        a = make_raw_image("a", [[1.0, 0.0]], [1.0])
-        empty = ImageObject(image_id="e", weights=np.zeros(0), vectors=np.zeros((0, 2)))
-        with pytest.raises(DomainError):
-            image_similarity(empty, a, outcome([], []))
-        with pytest.raises(DomainError):
-            smin_match(a, empty, 0.5)
+        # An image has at least one word; the constructor is the one place
+        # that checks it, so no matcher or scorer re-checks.
+        with pytest.raises(DomainError, match="no words"):
+            ImageObject(image_id="e", weights=np.zeros(0), vectors=np.zeros((0, 2)))
 
     def test_weights_outside_unit_interval_rejected(self):
         with pytest.raises(DomainError):

@@ -1,5 +1,7 @@
 import hashlib
 import json
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -269,6 +271,20 @@ class TestPsmiFiles:
             path.write_bytes(data[:cut])
             with pytest.raises(FormatError):
                 load_psmi(path)
+
+    def test_forged_word_count_allocates_nothing(self, tmp_path):
+        # A bare 32-byte header claiming 2**22 words holds no word records;
+        # it is refused before any array sized by the claimed count exists.
+        path = tmp_path / "idx.psmi"
+        path.write_bytes(struct.pack("<4sIIIdQ", b"PSMI", 1, 1 << 22, 4, 0.5, 0))
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError, match="truncated"):
+                load_psmi(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_trailing_garbage(self, tmp_path):
         vocab, idx = self._index()

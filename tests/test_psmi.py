@@ -32,10 +32,15 @@ def vocab_image(vocab, ids, weights=None, name="img"):
                        word_ids=ids, vocab=vocab)
 
 
+def entry_pairs(idx, word_id):
+    ids, sims = huffman_search(idx, word_id)
+    return list(zip(ids.tolist(), sims.tolist()))
+
+
 class TestBuild:
     def test_three_word_vocabulary_lists(self, tiny_vocab):
         idx = build_psmi_index(tiny_vocab, 0.7)
-        lists = {wid: [(e.word_id, e.sim) for e in huffman_search(idx, wid)] for wid in range(3)}
+        lists = {wid: entry_pairs(idx, wid) for wid in range(3)}
         assert [wid for wid, _ in lists[0]] == [0, 1]
         assert [wid for wid, _ in lists[1]] == [1, 0]
         assert [wid for wid, _ in lists[2]] == [2]
@@ -46,26 +51,24 @@ class TestBuild:
     def test_high_threshold_keeps_only_self(self, tiny_vocab):
         idx = build_psmi_index(tiny_vocab, 0.999)
         for wid in range(3):
-            entries = huffman_search(idx, wid).entries
-            assert len(entries) == 1
-            assert entries[0].word_id == wid and entries[0].sim == 1.0
+            ids, sims = huffman_search(idx, wid)
+            assert ids.tolist() == [wid] and sims.tolist() == [1.0]
 
     def test_lists_descend_with_self_first(self):
         rng = np.random.RandomState(97)
         vocab = random_vocab(rng, 64, 2)
         idx = build_psmi_index(vocab, 0.5)
         for wid in range(vocab.size):
-            entries = huffman_search(idx, wid).entries
-            assert entries[0].word_id == wid and entries[0].sim == 1.0
-            sims = [e.sim for e in entries]
-            assert sims == sorted(sims, reverse=True)
-            assert all(s > 0.5 for s in sims)
+            ids, sims = huffman_search(idx, wid)
+            assert ids[0] == wid and sims[0] == 1.0
+            assert sims.tolist() == sorted(sims.tolist(), reverse=True)
+            assert np.all(sims > 0.5)
 
     def test_self_first_ahead_of_identical_word(self):
         vocab = Vocabulary(vectors=np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
                            frequencies=np.array([1, 1, 1]))
         idx = build_psmi_index(vocab, 0.5)
-        assert [(e.word_id, e.sim) for e in huffman_search(idx, 1)] == [(1, 1.0), (0, 1.0)]
+        assert entry_pairs(idx, 1) == [(1, 1.0), (0, 1.0)]
 
     def test_deterministic_bytes(self, tmp_path):
         rng = np.random.RandomState(101)
@@ -132,13 +135,28 @@ class TestHuffman:
 class TestSearch:
     def test_lookup_round_trip(self, tiny_vocab):
         idx = build_psmi_index(tiny_vocab, 0.7)
-        assert huffman_search(idx, 2).entries[0].word_id == 2
+        ids, _ = huffman_search(idx, 2)
+        assert ids[0] == 2
 
     def test_unknown_word(self, tiny_vocab):
         idx = build_psmi_index(tiny_vocab, 0.7)
         for word_id in (99, -1):
             with pytest.raises(UnknownWordError):
                 huffman_search(idx, word_id)
+
+    def test_returns_read_only_views_of_the_csr_arrays(self, tiny_vocab):
+        idx = build_psmi_index(tiny_vocab, 0.7)
+        for wid in range(idx.size):
+            ids, sims = huffman_search(idx, wid)
+            assert np.shares_memory(ids, idx.csr_ids) and np.shares_memory(sims, idx.csr_sims)
+            assert not ids.flags.writeable and not sims.flags.writeable
+
+    def test_lists_are_the_search_slices(self, tiny_vocab):
+        idx = build_psmi_index(tiny_vocab, 0.7)
+        assert len(idx.lists) == idx.size
+        for wid, (ids, sims) in enumerate(idx.lists):
+            want_ids, want_sims = huffman_search(idx, wid)
+            assert np.array_equal(ids, want_ids) and np.array_equal(sims, want_sims)
 
 
 class TestPsmiMatch:
@@ -176,8 +194,7 @@ class TestPsmiMatch:
             b = random_vocab_image(rng, vocab, rng.randint(1, 12), "b")
             present = set(b.word_ids.tolist())
             walked = next(
-                ((e.word_id, e.sim) for e in huffman_search(idx, a_word)
-                 if e.sim > mu0 and e.word_id in present),
+                ((w, s) for w, s in entry_pairs(idx, a_word) if s > mu0 and w in present),
                 None)
             j, s = brute_force_top1(b.vector_matrix(), vocab.vectors[a_word])
             if walked is None:
@@ -245,8 +262,7 @@ class TestPsmiPreconditions:
                 psmi_match(a, b, 0.7, idx)
 
     def test_empty_image_rejected(self, tiny_vocab):
-        idx = build_psmi_index(tiny_vocab, 0.7)
-        empty = ImageObject(image_id="e", weights=np.zeros(0),
-                            word_ids=np.zeros(0, dtype=int), vocab=tiny_vocab)
-        with pytest.raises(DomainError):
-            psmi_match(empty, vocab_image(tiny_vocab, [0]), 0.7, idx)
+        # An image has at least one word; the constructor refuses an empty one.
+        with pytest.raises(DomainError, match="no words"):
+            ImageObject(image_id="e", weights=np.zeros(0),
+                        word_ids=np.zeros(0, dtype=int), vocab=tiny_vocab)

@@ -18,10 +18,15 @@ class TestConfig:
     @pytest.mark.parametrize("field,value", [
         ("vocab_size", 0), ("image_count", 0), ("words_per_image", 0),
         ("duplicate_fraction", 1.5), ("perturbation", -0.1), ("zipf_exponent", -1.0),
+        ("zipf_exponent", float("nan")),
     ])
     def test_rejects_invalid(self, field, value):
         with pytest.raises(DomainError):
             small_config(**{field: value})
+
+    def test_infinite_zipf_exponent_accepted(self):
+        # The limit law is well-defined: every draw is word 0.
+        assert small_config(zipf_exponent=float("inf")).zipf_exponent == float("inf")
 
 
 class TestZipf:

@@ -61,9 +61,9 @@ class TestBuildAndQuery:
             assert query_top1(idx, q) == brute_force_top1(b.vector_matrix(), q)
 
     def test_empty_image_rejected(self):
-        empty = ImageObject(image_id="e", weights=np.zeros(0), vectors=np.zeros((0, 2)))
-        with pytest.raises(DomainError):
-            build_temp_index(empty)
+        # An image has at least one word; the constructor refuses an empty one.
+        with pytest.raises(DomainError, match="no words"):
+            ImageObject(image_id="e", weights=np.zeros(0), vectors=np.zeros((0, 2)))
 
     def test_dimension_mismatch(self):
         idx = build_temp_index(raw_image("b", [[1.0, 0.0]]))
