@@ -200,8 +200,9 @@ class Vocabulary:
 class ImageObject:
     """An image identifier plus an ordered sequence of weighted visual words.
 
-    An image has at least one word. This constructor is the one place that
-    is checked, so no matcher or scorer re-checks it.
+    An image has at least one word, and its inline vectors are non-zero.
+    This constructor is the one place these are checked, so no loader,
+    matcher or scorer re-checks them.
 
     Stored columnar for efficiency: ``weights`` always, plus either an
     explicit ``(m, d)`` ``vectors`` matrix (raw words) or ``word_ids``
@@ -244,6 +245,8 @@ class ImageObject:
                 raise ContractError("vectors must be an (m, d) matrix aligned with weights")
             if not np.all(np.isfinite(vecs)):
                 raise DomainError("image vectors have non-finite components")
+            if not np.all(np.einsum("ij,ij->i", vecs, vecs) > 0.0):
+                raise DomainError(f"image {self.image_id!r} has a zero vector")
             object.__setattr__(self, "vectors", _readonly(vecs))
         else:
             if self.vocab is None:

@@ -73,6 +73,12 @@ def save_vocabulary(vocab: Vocabulary, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _json_int(value) -> int:
+    if type(value) is not int:  # also rejects bool, an int subclass
+        raise TypeError(f"expected a JSON integer, got {value!r}")
+    return value
+
+
 def load_vocabulary(path) -> Vocabulary:
     text = Path(path).read_text(encoding="utf-8")
     entries: dict[int, tuple[int, list[float]]] = {}
@@ -81,8 +87,8 @@ def load_vocabulary(path) -> Vocabulary:
             continue
         try:
             rec = json.loads(line)
-            wid = int(rec["word_id"])
-            freq = int(rec["frequency"])
+            wid = _json_int(rec["word_id"])
+            freq = _json_int(rec["frequency"])
             vec = [float(c) for c in rec["vector"]]
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"{path}: line {lineno}: malformed vocabulary entry ({exc})") from exc
@@ -136,19 +142,16 @@ def _parse_image(rec: dict, vocab: Optional[Vocabulary], where: str) -> ImageObj
     if "weight" not in words[0] and "count" not in words[0]:
         raise ValidationError(f"{where}: image {image_id!r}: words need a weight or a count")
 
-    counts = [int(w["count"]) for w in words] if "count" in words[0] else None
+    counts = [_json_int(w["count"]) for w in words] if "count" in words[0] else None
     weights = ([float(w["weight"]) for w in words] if "weight" in words[0]
                else normalize_weights(counts))
     if "word_id" in words[0]:
         if vocab is None:
             raise ValidationError(f"{where}: image {image_id!r} uses word ids but no vocabulary was given")
         return ImageObject(image_id=image_id, weights=weights, counts=counts,
-                           word_ids=[int(w["word_id"]) for w in words], vocab=vocab)
-    img = ImageObject(image_id=image_id, weights=weights, counts=counts,
-                      vectors=[[float(c) for c in w["vector"]] for w in words])
-    if np.any(np.einsum("ij,ij->i", img.vectors, img.vectors) == 0.0):
-        raise ValidationError(f"{where}: image {image_id!r} has a zero vector")
-    return img
+                           word_ids=[_json_int(w["word_id"]) for w in words], vocab=vocab)
+    return ImageObject(image_id=image_id, weights=weights, counts=counts,
+                       vectors=[[float(c) for c in w["vector"]] for w in words])
 
 
 def load_images(path, vocab: Optional[Vocabulary] = None) -> Dataset:

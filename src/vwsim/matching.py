@@ -10,8 +10,10 @@ Two rules make the outcome unique and therefore comparable across
 implementations:
 
 * ties on the maximum are broken by the smallest B index;
-* bitwise-identical vectors score exactly 1.0 (so a word always matches a
-  copy of itself perfectly, regardless of rounding in the normalization).
+* a pair whose unit rows are bitwise identical scores exactly 1.0 (so a
+  word always matches a copy or an exact scale copy of itself perfectly).
+
+Raw vectors stop at :func:`vwsim.core.unit_rows`: the kernel reads unit rows only.
 """
 
 from __future__ import annotations
@@ -34,14 +36,13 @@ from .errors import ContractError, DomainError
 
 __all__ = ["cosine", "best_match", "smin_match", "smin_similarity"]
 
-# Values this close to 1 trigger the identical-vector check (a unit vector
+# Values this close to 1 trigger the identical-row check (a unit vector
 # dotted with itself can fall short of 1.0 by a few ulp only).
 _IDENTITY_BAND = 1e-9
 
 
-def _pair_score(u_a: np.ndarray, u_b: np.ndarray,
-                raw_a: np.ndarray, raw_b: np.ndarray) -> float:
-    """Clamped cosine of two unit vectors, exact-identity corrected.
+def _pair_score(u_a: np.ndarray, u_b: np.ndarray) -> float:
+    """Clamped cosine of two unit rows; bitwise-identical rows score 1.0.
 
     This is the scalar form of the one similarity kernel in the package:
     the naive scan and :func:`cosine` score through it, and
@@ -53,36 +54,34 @@ def _pair_score(u_a: np.ndarray, u_b: np.ndarray,
         return 0.0
     if s > 1.0:
         s = 1.0
-    if s > 1.0 - _IDENTITY_BAND and s != 1.0 and np.array_equal(raw_a, raw_b):
+    if s > 1.0 - _IDENTITY_BAND and s != 1.0 and np.array_equal(u_a, u_b):
         return 1.0
     return s
 
 
-def _pair_scores(u_a: np.ndarray, u_b: np.ndarray,
-                 raw_a: np.ndarray, raw_b: np.ndarray) -> np.ndarray:
-    """:func:`_pair_score` over broadcastable ``(..., d)`` rows.
+def _pair_scores(u_a: np.ndarray, u_b: np.ndarray) -> np.ndarray:
+    """:func:`_pair_score` over broadcastable ``(..., d)`` unit rows.
 
     A vector-by-vector ``matmul`` runs ``np.dot``'s routine, so scores match
-    the scalar kernel bit for bit; raw rows are compared only for in-band pairs.
+    the scalar kernel bit for bit; rows are compared only for in-band pairs.
     """
     s = (u_a[..., None, :] @ u_b[..., :, None])[..., 0, 0]
     s[s <= 0.0] = 0.0
     np.minimum(s, 1.0, out=s)
     band = s > 1.0 - _IDENTITY_BAND
     if band.any():
-        raw_a, raw_b = np.broadcast_arrays(raw_a, raw_b)
-        s[band] = np.where((raw_a[band] == raw_b[band]).all(-1), 1.0, s[band])
+        u_a, u_b = np.broadcast_arrays(u_a, u_b)
+        s[band] = np.where((u_a[band] == u_b[band]).all(-1), 1.0, s[band])
     return s
 
 
-def _scan_best(unit_b: np.ndarray, raw_b: np.ndarray,
-               u_q: np.ndarray, raw_q: np.ndarray) -> tuple[float, int]:
+def _scan_best(unit_b: np.ndarray, u_q: np.ndarray) -> tuple[float, int]:
     """Linear scan for the best clamped cosine, smallest index on ties."""
     best = -1.0
     best_j = 0
     rows = len(unit_b)
     for j in range(rows):
-        s = _pair_score(unit_b[j], u_q, raw_q, raw_b[j])
+        s = _pair_score(unit_b[j], u_q)
         if s > best:
             best = s
             best_j = j
@@ -93,15 +92,14 @@ def cosine(a, b) -> float:
     """Cosine similarity of two vectors, clamped to ``[0, 1]``.
 
     Negative cosines clamp to 0 (they can never exceed a threshold in
-    ``[0, 1)`` anyway); bitwise-identical inputs score exactly 1.0.
+    ``[0, 1)`` anyway); inputs whose unit vectors are bitwise identical,
+    such as a vector and an exact scale copy of it, score exactly 1.0.
     """
     va = as_vector(a)
     vb = as_vector(b)
     if va.size != vb.size:
         raise ContractError(f"dimension mismatch: {va.size} vs {vb.size}")
-    ua = unit_vector(va)
-    ub = unit_vector(vb)
-    return _pair_score(ua, ub, va, vb)
+    return _pair_score(unit_vector(va), unit_vector(vb))
 
 
 def _word_vector(word) -> np.ndarray:
@@ -124,9 +122,7 @@ def best_match(a_word, b_words: Sequence, mu0: float) -> tuple[float, Optional[i
     raw_b = [_word_vector(w) for w in b_words]
     if any(v.size != raw_q.size for v in raw_b):
         raise ContractError("query and candidate dimensions differ")
-    unit_b = unit_rows(np.stack(raw_b))
-    u_q = unit_vector(raw_q)
-    best, best_j = _scan_best(list(unit_b), raw_b, u_q, raw_q)
+    best, best_j = _scan_best(list(unit_rows(np.stack(raw_b))), unit_vector(raw_q))
     if best > mu0:
         return best, best_j
     return 0.0, None
@@ -144,16 +140,14 @@ def smin_match(a: ImageObject, b: ImageObject, mu0: float) -> MatchOutcome:
     if raw_a.shape[1] != raw_b.shape[1]:
         raise ContractError("images have different vector dimensions")
     unit_a = unit_rows(raw_a)
-    unit_b = unit_rows(raw_b)
-    # Plain lists keep the inner loop free of repeated fancy-index overhead.
-    ub_rows = list(unit_b)
-    rb_rows = list(raw_b)
+    # A plain list keeps the inner loop free of repeated fancy-index overhead.
+    ub_rows = list(unit_rows(raw_b))
 
     m = a.word_count
     mu = np.zeros(m, dtype=np.float64)
     partners = np.full(m, -1, dtype=np.int64)
     for i in range(m):
-        best, best_j = _scan_best(ub_rows, rb_rows, unit_a[i], raw_a[i])
+        best, best_j = _scan_best(ub_rows, unit_a[i])
         if best > mu0:
             mu[i] = best
             partners[i] = best_j

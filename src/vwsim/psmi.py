@@ -175,7 +175,6 @@ def build_psmi_index(vocab: Vocabulary, mu0_build: float) -> PsimIndex:
     """
     mu0_build = check_threshold(mu0_build)
     unit = vocab.unit_matrix
-    raw = vocab.vectors
     k = vocab.size
 
     chunk = max(1, (1 << 22) // k)
@@ -184,7 +183,7 @@ def build_psmi_index(vocab: Vocabulary, mu0_build: float) -> PsimIndex:
     for lo in range(0, k, chunk):
         rows, cols = np.nonzero(unit[lo:lo + chunk] @ unit.T > cut)
         rows += lo
-        sims = _pair_scores(unit[rows], unit[cols], raw[rows], raw[cols])
+        sims = _pair_scores(unit[rows], unit[cols])
         keep = sims > mu0_build
         row_parts.append(rows[keep])
         col_parts.append(cols[keep])

@@ -34,27 +34,24 @@ __all__ = ["TempIndex", "build_temp_index", "query_top1", "smii_match", "smii_si
 
 @dataclass(frozen=True)
 class TempIndex:
-    """Immutable exact top-1 cosine index over one image's word vectors."""
+    """Immutable exact top-1 cosine index over one image's unit rows."""
 
-    raw: np.ndarray
     unit: np.ndarray
 
     @property
     def size(self) -> int:
-        return self.raw.shape[0]
+        return self.unit.shape[0]
 
     @property
     def dimension(self) -> int:
-        return self.raw.shape[1]
+        return self.unit.shape[1]
 
 
 def build_temp_index(b: ImageObject) -> TempIndex:
     """Index all words of *b*; deterministic, one normalization pass."""
-    raw = np.ascontiguousarray(b.vector_matrix(), dtype=np.float64)
-    raw.setflags(write=False)
-    unit = unit_rows(raw)
+    unit = unit_rows(b.vector_matrix())
     unit.setflags(write=False)
-    return TempIndex(raw=raw, unit=unit)
+    return TempIndex(unit=unit)
 
 
 def _top1(idx: TempIndex, raw_q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -65,7 +62,7 @@ def _top1(idx: TempIndex, raw_q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     if raw_q.shape[1] != idx.dimension:
         raise ContractError(f"query dimension {raw_q.shape[1]} != index dimension {idx.dimension}")
-    scores = _pair_scores(idx.unit, unit_rows(raw_q)[:, None], idx.raw, raw_q[:, None])
+    scores = _pair_scores(idx.unit, unit_rows(raw_q)[:, None])
     best = scores.argmax(axis=1)
     return best, scores[np.arange(len(best)), best]
 

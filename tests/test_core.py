@@ -177,6 +177,11 @@ class TestValidation:
         with pytest.raises(DomainError):
             make_raw_image("a", [[1.0, 0.0]], [0.0])
 
+    def test_zero_vector_rejected(self):
+        # Rejected where the image is built, not later inside a matcher.
+        with pytest.raises(DomainError, match="image 'z' has a zero vector"):
+            make_raw_image("z", [[1.0, 0.0], [0.0, 0.0]], [1.0, 1.0])
+
     def test_match_image_mismatch_is_contract_error(self):
         a = make_raw_image("a", [[1.0, 0.0], [0.0, 1.0]], [1.0, 1.0])
         b = make_raw_image("b", [[1.0, 0.0]], [1.0])

@@ -1,4 +1,5 @@
-"""Every demo runs to completion against the checkout's package."""
+"""Every demo runs to completion against the checkout's package, with every
+warning raised as an error (``-W error``), as the in-process suite does."""
 
 import os
 import subprocess
@@ -14,6 +15,6 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_exits_zero(demo, tmp_path):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
+    proc = subprocess.run([sys.executable, "-W", "error", str(demo)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]

@@ -189,6 +189,14 @@ class TestMalformedRecords:
         ("images", [_image({"word_id": -1, "weight": 1.0})], None),
         ("images", [{"image_id": "x", "words": {"word_id": 0, "weight": 1.0}}], "no words"),
         ("images", [_image(3)], "malformed image record"),
+        ("vocab", [_vocab_entry(0), _vocab_entry(1.7)], "JSON integer"),
+        ("vocab", [_vocab_entry(0.0)], "JSON integer"),
+        ("vocab", [_vocab_entry(0, freq="5")], "JSON integer"),
+        ("vocab", [_vocab_entry(0, freq=True)], "JSON integer"),
+        ("images", [_image({"word_id": 0.9, "weight": 1.0})], "JSON integer"),
+        ("images", [_image({"word_id": True, "weight": 1.0})], "JSON integer"),
+        ("images", [_image({"word_id": 0, "count": 2.5})], "JSON integer"),
+        ("images", [_image({"word_id": 0, "count": True})], "JSON integer"),
     ])
     def test_rejected_as_validation_error(self, tmp_path, tiny_vocab, kind, records, message):
         path = tmp_path / f"{kind}.jsonl"
@@ -260,6 +268,23 @@ class TestPsmiFiles:
         data[4] = 99
         path.write_bytes(bytes(data))
         with pytest.raises(FormatError):
+            load_psmi(path)
+
+    @pytest.mark.parametrize("k, dim, mu0, message", [
+        (0, 4, 0.5, "empty index header"),
+        (24, 0, 0.5, "empty index header"),
+        (24, 4, 1.0, "build threshold out of range"),
+        (24, 4, -0.5, "build threshold out of range"),
+        (24, 4, float("nan"), "build threshold out of range"),
+    ])
+    def test_bad_header_fields(self, tmp_path, k, dim, mu0, message):
+        vocab, idx = self._index()
+        path = tmp_path / "idx.psmi"
+        save_psmi(idx, path)
+        data = bytearray(path.read_bytes())
+        struct.pack_into("<IIdQ", data, 8, k, dim, mu0, idx.vocab_checksum)
+        path.write_bytes(bytes(data))
+        with pytest.raises(FormatError, match=message):
             load_psmi(path)
 
     def test_truncated_file(self, tmp_path):

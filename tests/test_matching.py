@@ -4,7 +4,8 @@ import pytest
 from conftest import random_raw_image, random_vocab, random_vocab_image
 from oracles import brute_force_match
 
-from vwsim import ContractError, DomainError, VisualWord, best_match, cosine, smin_match, smin_similarity
+from vwsim import (ContractError, DomainError, VisualWord, best_match, cosine, smii_match, smin_match,
+                   smin_similarity)
 
 
 class TestCosine:
@@ -23,6 +24,17 @@ class TestCosine:
     def test_scale_invariant_identity(self):
         # Parallel but non-identical vectors still score (numerically) 1.
         assert cosine([2.0, 0.0], [1.0, 0.0]) == 1.0
+        # An exact scale copy has bitwise-identical unit rows, whose dot
+        # product here falls an ulp short of 1: the identity rule lifts it
+        # to exactly 1.0 in cosine and in both vector matchers.
+        from vwsim.core import unit_vector
+
+        v = np.random.RandomState(4).standard_normal(16)
+        assert float(np.dot(unit_vector(v), unit_vector(v))) != 1.0
+        assert cosine(v, 2.0 * v) == 1.0
+        a, b = raw_image("a", [v]), raw_image("b", [2.0 * v])
+        for match in (smin_match, smii_match):
+            assert match(a, b, 0.5).lambdas.tolist() == [1.0]
 
     def test_dimension_mismatch(self):
         with pytest.raises(ContractError):
@@ -204,7 +216,7 @@ class TestSharedNormalizationPath:
         units = unit_rows(mat)
         for i in range(10):
             for j in range(10):
-                assert cosine(mat[i], mat[j]) == _pair_score(units[i], units[j], mat[i], mat[j])
+                assert cosine(mat[i], mat[j]) == _pair_score(units[i], units[j])
 
 
 class TestPairScoresKernel:
@@ -218,7 +230,7 @@ class TestPairScoresKernel:
         raw[1] = raw[0]                                      # duplicate
         raw[2] = raw[0]
         raw[2, 0] = np.nextafter(raw[0, 0], np.inf)          # near-identical, not equal
-        raw[3] = 2.0 * raw[0]                                # parallel, not identical
+        raw[3] = 2.0 * raw[0]                                # scale copy: same unit row
         raw[4] = -raw[0]                                     # negative cosine
         return raw
 
@@ -234,13 +246,13 @@ class TestPairScoresKernel:
         rng = np.random.RandomState(233 + d)
         i = np.concatenate([np.arange(len(raw)), [0, 1, 0, 2, 0, 3, 0], rng.randint(0, 40, 500)])
         j = np.concatenate([np.arange(len(raw)), [1, 0, 2, 0, 3, 0, 4], rng.randint(0, 40, 500)])
-        gathered = _pair_scores(unit[i], unit[j], raw[i], raw[j])
-        scalar = [_pair_score(unit[a], unit[b], raw[a], raw[b]) for a, b in zip(i, j)]
+        gathered = _pair_scores(unit[i], unit[j])
+        scalar = [_pair_score(unit[a], unit[b]) for a, b in zip(i, j)]
         assert gathered.tobytes() == np.array(scalar).tobytes()
 
         for q in (0, 2, 4, 17):
-            broadcast = _pair_scores(unit, unit[q], raw, raw[q])
-            scalar = [_pair_score(unit[r], unit[q], raw[r], raw[q]) for r in range(len(raw))]
+            broadcast = _pair_scores(unit, unit[q])
+            scalar = [_pair_score(unit[r], unit[q]) for r in range(len(raw))]
             assert broadcast.tobytes() == np.array(scalar).tobytes()
 
     @pytest.mark.parametrize("d", [1, 2, 3, 16, 17, 64])
@@ -250,8 +262,8 @@ class TestPairScoresKernel:
 
         raw = self._vectors(d)[:12]
         unit = unit_rows(raw)
-        grid = _pair_scores(unit, unit[:, None], raw, raw[:, None])
-        scalar = [[_pair_score(unit[j], unit[i], raw[j], raw[i]) for j in range(12)] for i in range(12)]
+        grid = _pair_scores(unit, unit[:, None])
+        scalar = [[_pair_score(unit[j], unit[i]) for j in range(12)] for i in range(12)]
         assert grid.tobytes() == np.array(scalar).tobytes()
 
     def test_negative_zero_dot_scores_positive_zero(self):
@@ -261,23 +273,23 @@ class TestPairScoresKernel:
         # their sum, the score is +0.0.
         u_a = np.array([[1.0, 0.0]])
         u_b = np.array([[-0.0, -1.0]])
-        scores = _pair_scores(u_a, u_b, u_a, u_b)
+        scores = _pair_scores(u_a, u_b)
         assert scores.tobytes() == np.array([0.0]).tobytes()
-        assert scores.tobytes() == np.array([_pair_score(u_a[0], u_b[0], u_a[0], u_b[0])]).tobytes()
+        assert scores.tobytes() == np.array([_pair_score(u_a[0], u_b[0])]).tobytes()
 
-    def test_grid_compares_raw_rows_only_in_band(self):
+    def test_grid_compares_unit_rows_only_in_band(self):
         import tracemalloc
 
         from vwsim.core import unit_rows
         from vwsim.matching import _pair_scores
 
         # A = B: the diagonal is in band, every other pair is not. Comparing
-        # raw rows over all pairs would allocate an (m, n, d) block.
+        # unit rows over all pairs would allocate an (m, n, d) block.
         raw = np.random.RandomState(421).standard_normal((300, 256))
         unit = unit_rows(raw)
         tracemalloc.start()
         try:
-            scores = _pair_scores(unit, unit[:, None], raw, raw[:, None])
+            scores = _pair_scores(unit, unit[:, None])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
