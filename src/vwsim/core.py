@@ -52,16 +52,27 @@ def _column(values, dtype, what: str) -> np.ndarray:
         raise DomainError(f"{what} must be a rectangular numeric array") from exc
 
 
+def _squared_norms(matrix: np.ndarray, what: str) -> np.ndarray:
+    """Squared row norms, refusing any that is not finite and positive.
+
+    This is the one test of a row that can be normalized: a zero, non-finite,
+    overflowing or underflowing row would otherwise silently match nothing.
+    """
+    sq = np.einsum("ij,ij->i", matrix, matrix)
+    if not np.all((sq > 0.0) & (sq < np.inf)):
+        raise DomainError(f"{what} has a zero vector, or one whose squared norm is 0 or non-finite")
+    return sq
+
+
 def as_vector(values) -> np.ndarray:
-    """Coerce *values* to a read-only 1-D float64 vector, validating it."""
+    """Coerce *values* to a read-only 1-D float64 vector that can be normalized."""
     try:
         vec = np.array(values, dtype=np.float64)
     except (TypeError, ValueError) as exc:
         raise DomainError(f"not a numeric vector: {exc}") from exc
     if vec.ndim != 1 or vec.size < 1:
         raise DomainError(f"feature vector must be 1-D and non-empty, got shape {vec.shape}")
-    if not np.all(np.isfinite(vec)):
-        raise DomainError("feature vector has non-finite components")
+    _squared_norms(vec[None], "input")
     return _readonly(vec)
 
 
@@ -75,10 +86,7 @@ def unit_rows(matrix: np.ndarray) -> np.ndarray:
     exactly.
     """
     matrix = np.ascontiguousarray(matrix, dtype=np.float64)
-    norms = np.sqrt(np.einsum("ij,ij->i", matrix, matrix))
-    if not np.all(norms > 0.0):
-        raise DomainError("zero-norm vector cannot be normalized")
-    return matrix / norms[:, None]
+    return matrix / np.sqrt(_squared_norms(matrix, "input"))[:, None]
 
 
 def unit_vector(vec: np.ndarray) -> np.ndarray:
@@ -200,7 +208,7 @@ class Vocabulary:
 class ImageObject:
     """An image identifier plus an ordered sequence of weighted visual words.
 
-    An image has at least one word, and its inline vectors are non-zero.
+    An image has at least one word, and its inline vectors can be normalized.
     This constructor is the one place these are checked, so no loader,
     matcher or scorer re-checks them.
 
@@ -243,10 +251,7 @@ class ImageObject:
             vecs = _column(self.vectors, np.float64, "image vectors")
             if vecs.ndim != 2 or vecs.shape[0] != m:
                 raise ContractError("vectors must be an (m, d) matrix aligned with weights")
-            if not np.all(np.isfinite(vecs)):
-                raise DomainError("image vectors have non-finite components")
-            if not np.all(np.einsum("ij,ij->i", vecs, vecs) > 0.0):
-                raise DomainError(f"image {self.image_id!r} has a zero vector")
+            _squared_norms(vecs, f"image {self.image_id!r}")
             object.__setattr__(self, "vectors", _readonly(vecs))
         else:
             if self.vocab is None:

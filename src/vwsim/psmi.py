@@ -9,10 +9,11 @@ and no object is built per list entry. The Huffman tree over the word
 frequencies is derived from the frequencies alone, on demand, and serves
 code-length statistics only.
 
-Matching against this index never touches vectors at query time: walking a
-query word's list in descending order, the first entry present in the
-target image is the maximum, so the outcome is bit-identical to the naive
-matcher whenever the query threshold is at least the build threshold.
+Matching against this index never touches vectors at query time. Of a
+query word's entries above the query threshold whose word is in the target
+image, it keeps the maximum, ties to the smallest target position: the naive
+double loop's rule, so outcomes are bit-identical whenever the query
+threshold is at least the build threshold. List order is a file-format rule.
 """
 
 from __future__ import annotations
@@ -218,10 +219,10 @@ def huffman_search(idx: PsimIndex, word_id: int) -> tuple[np.ndarray, np.ndarray
 def psmi_match(a: ImageObject, b: ImageObject, mu0_query: float, idx: PsimIndex) -> MatchOutcome:
     """Match using only precomputed lists and id membership on B.
 
-    For each query word, the first list entry above ``mu0_query`` whose word
-    id occurs in B wins; its partner is the smallest B position holding that
-    id. Requires images backed by the indexed vocabulary and
-    ``mu0_query >= mu0_build``.
+    For each query word, the largest list similarity above ``mu0_query``
+    among the word ids that occur in B wins; its partner is the smallest B
+    position holding that similarity, as in the naive double loop. Requires
+    images backed by the indexed vocabulary and ``mu0_query >= mu0_build``.
     """
     mu0_query = check_threshold(mu0_query)
     if a.vocab is None or b.vocab is None:
@@ -243,27 +244,21 @@ def psmi_match(a: ImageObject, b: ImageObject, mu0_query: float, idx: PsimIndex)
     first_pos = np.full(k, n, dtype=np.int64)
     np.minimum.at(first_pos, b_ids, np.arange(n, dtype=np.int64))
 
-    # One segment per query word (never empty: every list holds its self
-    # entry). ``rank`` is the position inside the list, ``flat`` the CSR index.
+    # One segment of candidates per query word (never empty: every list
+    # holds its self entry). A candidate at or below the threshold, or
+    # absent from B, scores 0 and never wins.
     starts = idx.csr_offsets[a_ids]
     lengths = idx.csr_offsets[a_ids + 1] - starts
-    ends = np.cumsum(lengths)
-    seg_offsets = ends - lengths
-    total = int(ends[-1])
-    rank = np.arange(total) - np.repeat(seg_offsets, lengths)
-    flat = np.repeat(starts, lengths) + rank
-    cand_ids = idx.csr_ids[flat]
+    seg_offsets = np.cumsum(lengths) - lengths
+    flat = np.repeat(starts - seg_offsets, lengths) + np.arange(int(lengths.sum()))
+    cand_pos = first_pos[idx.csr_ids[flat]]
     cand_sims = idx.csr_sims[flat]
-    viable = (cand_sims > mu0_query) & (first_pos[cand_ids] < n)
+    cand_sims[(cand_sims <= mu0_query) | (cand_pos == n)] = 0.0
 
-    first_rank = np.minimum.reduceat(np.where(viable, rank, total), seg_offsets)
-    hit = first_rank < total
-
-    mu = np.zeros(a.word_count, dtype=np.float64)
-    partners = np.full(a.word_count, -1, dtype=np.int64)
-    chosen = (seg_offsets + first_rank)[hit]
-    mu[hit] = cand_sims[chosen]
-    partners[hit] = first_pos[cand_ids[chosen]]
+    # The maximum, then the smallest B position holding it.
+    mu = np.maximum.reduceat(cand_sims, seg_offsets)
+    tied = np.where(cand_sims == np.repeat(mu, lengths), cand_pos, n)
+    partners = np.where(mu > 0.0, np.minimum.reduceat(tied, seg_offsets), -1)
     return MatchOutcome.from_arrays(mu, partners)
 
 

@@ -4,8 +4,8 @@ import pytest
 from conftest import random_raw_image, random_vocab, random_vocab_image
 from oracles import brute_force_match
 
-from vwsim import (ContractError, DomainError, VisualWord, best_match, cosine, smii_match, smin_match,
-                   smin_similarity)
+from vwsim import (ContractError, DomainError, ImageObject, VisualWord, best_match, cosine,
+                   smii_match, smin_match, smin_similarity)
 
 
 class TestCosine:
@@ -47,6 +47,13 @@ class TestCosine:
     def test_non_finite(self):
         with pytest.raises(DomainError):
             cosine([float("inf"), 0.0], [1.0, 0.0])
+
+    def test_squared_norm_out_of_range(self):
+        # Finite vectors whose squared norm overflows or underflows cannot be
+        # normalized; they are refused instead of scoring 0.
+        for v in ([1e200, 0.0], [1e-200, 0.0]):
+            with pytest.raises(DomainError, match="squared norm"):
+                cosine(v, v)
 
 
 class TestBestMatch:
@@ -92,7 +99,6 @@ def raw_image(name, vectors, weights=None):
     vectors = np.asarray(vectors, dtype=float)
     if weights is None:
         weights = np.ones(vectors.shape[0])
-    from vwsim import ImageObject
     return ImageObject(image_id=name, weights=np.asarray(weights, dtype=float), vectors=vectors)
 
 
@@ -198,6 +204,22 @@ class TestSharedNormalizationPath:
             for i in range(0, 40, 7):
                 assert np.array_equal(unit_vector(mat[i]), whole[i])
                 assert np.array_equal(unit_rows(mat[i:i + 3])[0], whole[i])
+
+    def test_one_predicate_for_rows_that_can_be_normalized(self):
+        from vwsim.core import unit_rows
+
+        big, tiny = 1e200, 1e-200
+        for bad in ([0.0, 0.0], [big, big], [big, 0.0], [tiny, 0.0], [float("nan"), 1.0]):
+            with pytest.raises(DomainError):
+                unit_rows(np.array([[1.0, 0.0], bad]))
+            with pytest.raises(DomainError):
+                ImageObject(image_id="x", weights=np.ones(1), vectors=np.array([bad]))
+            with pytest.raises(DomainError):
+                VisualWord(None, bad, 1.0)
+        # Normal rows keep the bits of a plain divide by the root of the squared norm.
+        mat = np.random.RandomState(229).standard_normal((50, 7)) * 1e100
+        norms = np.sqrt(np.einsum("ij,ij->i", mat, mat))
+        assert np.array_equal(unit_rows(mat), mat / norms[:, None])
 
     def test_vocabulary_unit_matrix_matches_single_vector_path(self):
         from vwsim.core import unit_vector

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -17,11 +19,14 @@ from vwsim import (
     psmi_match,
     psmi_similarity,
     save_psmi,
+    smii_match,
+    smii_similarity,
     smin_match,
     smin_similarity,
     weighted_code_length,
 )
-from vwsim.matching import cosine
+from vwsim.core import unit_rows
+from vwsim.matching import _pair_scores, cosine
 
 
 def vocab_image(vocab, ids, weights=None, name="img"):
@@ -224,6 +229,70 @@ class TestPsmiMatch:
         a = vocab_image(tiny_vocab, [0, 1], [1.0, 0.6], name="a")
         b = vocab_image(tiny_vocab, [1], [1.0], name="b")
         assert psmi_similarity(a, b, 0.7, idx) == smin_similarity(a, b, 0.7)
+
+
+def assert_three_way(a, b, mu0, idx):
+    """psmi, smii and smin give equal outcomes and equal scores; returns both."""
+    want = smin_match(a, b, mu0)
+    assert smii_match(a, b, mu0) == want
+    assert psmi_match(a, b, mu0, idx) == want
+    score = smin_similarity(a, b, mu0)
+    assert smii_similarity(a, b, mu0) == score
+    assert psmi_similarity(a, b, mu0, idx) == score
+    return want, score
+
+
+class TestTiesOnTheMaximum:
+    """Ties on λ go to the smallest B position in every matcher, whatever
+    order the index lists hold the tied words in."""
+
+    def test_pinned_three_word_tie(self):
+        vocab = Vocabulary(vectors=unit_rows(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])),
+                           frequencies=np.array([1, 1, 1]))
+        a = vocab_image(vocab, [2], name="a")
+        b = vocab_image(vocab, [1, 0], [1.0, 0.5], name="b")
+        # Words 0 and 1 tie exactly; word 1 sits first in B, word 0 first in the list.
+        assert _pair_scores(vocab.unit_matrix[2], vocab.unit_matrix[:2]).tolist() == [
+            0.7071067811865476, 0.7071067811865476]
+        for mu0_build in (0.0, 0.5):
+            out, score = assert_three_way(a, b, 0.5, build_psmi_index(vocab, mu0_build))
+            assert out.pairs == [(0, 0, 0.7071067811865476)]
+            assert score == 0.8164965809277261
+
+    def test_duplicate_vectors_as_images(self):
+        # Words 0 and 1 share one vector; word 1's list holds itself first.
+        vocab = Vocabulary(vectors=np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
+                           frequencies=np.array([1, 1, 1]))
+        idx = build_psmi_index(vocab, 0.5)
+        out, _ = assert_three_way(vocab_image(vocab, [1], name="a"),
+                                  vocab_image(vocab, [0, 1], name="b"), 0.5, idx)
+        assert out.pairs == [(0, 0, 1.0)]
+        images = [ids for m in (1, 2, 3) for ids in itertools.product(range(3), repeat=m)]
+        for a_ids in images[:12]:
+            for b_ids in images:
+                for mu0 in (0.5, 0.9):
+                    assert_three_way(vocab_image(vocab, a_ids, name="a"),
+                                     vocab_image(vocab, b_ids, name="b"), mu0, idx)
+
+    def test_small_integer_grid_sweep(self):
+        # Directions on a small integer grid tie often and exactly.
+        grid = [p for p in itertools.product(range(-2, 3), repeat=3) if any(p)]
+        vocab = Vocabulary(vectors=unit_rows(np.array(grid, dtype=float)),
+                           frequencies=np.ones(len(grid), dtype=np.int64))
+        idx = build_psmi_index(vocab, 0.0)
+        rng = np.random.RandomState(137)
+        ties = 0
+        for mu0 in (0.0, 0.3, 0.6, 0.9):
+            for _ in range(60):
+                a = random_vocab_image(rng, vocab, rng.randint(1, 8), "a")
+                b = random_vocab_image(rng, vocab, rng.randint(1, 12), "b")
+                assert_three_way(a, b, mu0, idx)
+                scores = _pair_scores(vocab.unit_matrix[a.word_ids][:, None],
+                                      vocab.unit_matrix[b.word_ids])
+                for row in scores:
+                    top = row.max()
+                    ties += top > mu0 and len(set(b.word_ids[row == top].tolist())) > 1
+        assert ties >= 30
 
 
 class TestPsmiPreconditions:
