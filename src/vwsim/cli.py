@@ -27,7 +27,7 @@ from .bench import (
     run_bench,
     run_hitrate,
 )
-from .errors import ContractError, PreconditionError, ValidationError, VwsimError
+from .errors import ContractError, PreconditionError, VwsimError
 from .io import Dataset, load_images, load_psmi, load_vocabulary, save_images, save_psmi, save_truth, save_vocabulary
 from .psmi import build_psmi_index, weighted_code_length
 from .quantize import _count_images, assign_words, kmeans_quantize, tfidf_weights
@@ -52,15 +52,10 @@ def _write_csv(rows, columns, csv_path) -> None:
             out.close()
 
 
-def _first_image(path, vocab):
-    dataset = load_images(path, vocab=vocab)
-    return dataset.images[0]
-
-
 def cmd_sim(args) -> int:
     vocab = load_vocabulary(args.vocab) if args.vocab else None
-    a = _first_image(args.image_a, vocab)
-    b = _first_image(args.image_b, vocab)
+    a = load_images(args.image_a, vocab=vocab).images[0]
+    b = load_images(args.image_b, vocab=vocab).images[0]
     index = load_psmi(args.index, vocab=vocab) if args.algo == "psmi" else None
     score = SCORERS[args.algo](a, b, args.mu0, index)
     print(f"{score:.6f}")
@@ -275,10 +270,7 @@ def main(argv=None) -> int:
     except (PreconditionError, ContractError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValidationError, VwsimError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+    except (VwsimError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -43,7 +43,17 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
 
 
 def _column(values, dtype, what: str) -> np.ndarray:
-    """Coerce *values* to a contiguous array, failing as a :class:`DomainError`."""
+    """Coerce *values* to a contiguous array, failing as a :class:`DomainError`.
+
+    An integer column refuses float (``1.0`` too), bool and string values,
+    and values past its range, rather than truncate, parse or wrap them.
+    """
+    if dtype is np.int64 and not (isinstance(values, np.ndarray) and values.dtype.kind == "i"):
+        # As Python objects, elements keep their own types (numpy infers float
+        # for ints that fit no one integer dtype) and refuse to wrap past int64.
+        values = np.array(values, dtype=object)
+        if not all(issubclass(t, (int, np.integer)) and t is not bool for t in set(map(type, values.flat))):
+            raise DomainError(f"{what} must be integers, not float, bool or string values")
     try:
         return np.ascontiguousarray(values, dtype=dtype)
     except OverflowError as exc:
@@ -86,6 +96,8 @@ def unit_rows(matrix: np.ndarray) -> np.ndarray:
     exactly.
     """
     matrix = np.ascontiguousarray(matrix, dtype=np.float64)
+    if matrix.ndim != 2:
+        raise ContractError(f"expected a 2-D matrix of rows, got shape {matrix.shape}")
     return matrix / np.sqrt(_squared_norms(matrix, "input"))[:, None]
 
 
@@ -185,13 +197,10 @@ class Vocabulary:
         h = 0xCBF29CE484222325
         prime = 0x100000001B3
         mask = 0xFFFFFFFFFFFFFFFF
-        payload = bytearray()
-        payload += self.size.to_bytes(4, "little")
-        payload += self.dimension.to_bytes(4, "little")
-        for wid in range(self.size):
-            payload += wid.to_bytes(4, "little")
-            payload += int(self.frequencies[wid]).to_bytes(8, "little")
-            payload += self.vectors[wid].tobytes()
+        records = np.rec.fromarrays(
+            [np.arange(self.size), self.frequencies, self.vectors],
+            dtype=[("id", "<u4"), ("frequency", "<u8"), ("vector", "<f8", (self.dimension,))])
+        payload = np.array([self.size, self.dimension], dtype="<u4").tobytes() + records.tobytes()
         for byte in payload:
             h = ((h ^ byte) * prime) & mask
         return h
@@ -281,11 +290,9 @@ class ImageObject:
             raise ContractError("all words of an image must share one dimension")
         vectors = np.stack([w.vector for w in words])
         weights = np.array([w.weight for w in words], dtype=np.float64)
-        ids = None
-        if all(w.word_id is not None for w in words):
-            ids = np.array([w.word_id for w in words], dtype=np.int64)
+        ids = [w.word_id for w in words] if all(w.word_id is not None for w in words) else None
         return cls(image_id=image_id, weights=weights, word_ids=ids, vectors=vectors,
-                   counts=None if counts is None else np.asarray(counts, dtype=np.int64))
+                   counts=counts)
 
     @property
     def word_count(self) -> int:

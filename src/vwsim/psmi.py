@@ -1,9 +1,11 @@
 """Offline index of potential similar words over a whole vocabulary.
 
 For every vocabulary word, precompute the list of all other words whose
-clamped cosine exceeds a build threshold, stored in descending-similarity
-order (self first, at exactly 1.0). The index is three CSR arrays holding
-all lists back to back, and they are its only copy: a word's list is the
+clamped cosine exceeds a build threshold: self first (at exactly 1.0), then
+descending similarity, then ascending id. The build is a chunked all-pairs
+join whose candidates are flat row-major positions, rescored exactly and
+laid out by one stable sort. The index is three CSR arrays holding all
+lists back to back, and they are its only copy: a word's list is the
 read-only ``(ids, sims)`` slice pair that :func:`huffman_search` returns,
 and no object is built per list entry. The Huffman tree over the word
 frequencies is derived from the frequencies alone, on demand, and serves
@@ -169,10 +171,10 @@ class PsimIndex:
 def build_psmi_index(vocab: Vocabulary, mu0_build: float) -> PsimIndex:
     """Precompute every word's potential similar words above ``mu0_build``.
 
-    The all-pairs pass runs as chunked matrix products. Each chunk's
-    shortlist is rescored through the shared kernel, so stored similarities
-    match what the naive matcher would compute on the same two words, and
-    every self entry comes out at exactly 1.0.
+    Each chunk of the all-pairs matrix product yields flat row-major
+    positions, rescored through the shared kernel, so stored similarities
+    match what the naive matcher would compute and every self entry is
+    exactly 1.0. One stable three-key sort lays out the lists.
     """
     mu0_build = check_threshold(mu0_build)
     unit = vocab.unit_matrix
@@ -180,22 +182,20 @@ def build_psmi_index(vocab: Vocabulary, mu0_build: float) -> PsimIndex:
 
     chunk = max(1, (1 << 22) // k)
     cut = mu0_build - _CANDIDATE_MARGIN
-    row_parts, col_parts, sim_parts = [], [], []
+    flat_parts, sim_parts = [], []
     for lo in range(0, k, chunk):
-        rows, cols = np.nonzero(unit[lo:lo + chunk] @ unit.T > cut)
-        rows += lo
+        flat = np.flatnonzero(unit[lo:lo + chunk] @ unit.T > cut) + lo * k
+        rows, cols = np.divmod(flat, k)
         sims = _pair_scores(unit[rows], unit[cols])
         keep = sims > mu0_build
-        row_parts.append(rows[keep])
-        col_parts.append(cols[keep])
+        flat_parts.append(flat[keep])
         sim_parts.append(sims[keep])
-    rows = np.concatenate(row_parts)
-    cols = np.concatenate(col_parts)
+    rows, cols = np.divmod(np.concatenate(flat_parts), k)
     sims = np.concatenate(sim_parts)
 
-    # Per word: self first (even ahead of another word at 1.0), then
-    # descending similarity, ties by ascending id.
-    order = np.lexsort((cols, -sims, rows != cols, rows))
+    # Per word: self first (even ahead of another word at 1.0), then descending
+    # similarity; ids arrive ascending and the stable sort keeps them so on ties.
+    order = np.lexsort((-sims, rows != cols, rows))
     return PsimIndex.from_lists(
         frequencies=vocab.frequencies,
         offsets=np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=k)))),

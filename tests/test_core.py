@@ -204,6 +204,57 @@ class TestValidation:
         with pytest.raises(DomainError):
             Vocabulary(vectors=np.array([[1.0, 0.0]]), frequencies=np.array([-1]))
 
+    @pytest.mark.parametrize("column, columns", [
+        ("word ids", dict(word_ids=[2.7, 0.2])),
+        ("word ids", dict(word_ids=[1.0, 0.0])),
+        ("word ids", dict(word_ids=np.array([1.0, 0.0]))),
+        ("word ids", dict(word_ids=np.array([2, 0.5], dtype=object))),
+        ("word ids", dict(word_ids=["2", "0"])),
+        ("word ids", dict(word_ids=[True, False])),
+        ("word ids", dict(word_ids=np.array([True, False]))),
+        ("occurrence counts", dict(word_ids=[2, 0], counts=[1.9, 3.5])),
+        ("occurrence counts", dict(word_ids=[2, 0], counts=[1.0, 3.0])),
+        ("occurrence counts", dict(word_ids=[2, 0], counts=[True, 2])),
+        ("occurrence counts", dict(word_ids=[2, 0], counts=["1", "3"])),
+    ])
+    def test_integer_columns_refuse_non_integers(self, tiny_vocab, column, columns):
+        # Truncating or parsing would turn a wrong column into a plausible one.
+        with pytest.raises(DomainError, match=f"{column} must be integers"):
+            ImageObject(image_id="x", weights=np.ones(2), vocab=tiny_vocab, **columns)
+
+    @pytest.mark.parametrize("freqs", [[1.5, 1.5], [1.0, 3.0], [True, True], ["1", "3"]])
+    def test_frequencies_refuse_non_integers(self, freqs):
+        with pytest.raises(DomainError, match="frequencies must be integers"):
+            Vocabulary(vectors=np.eye(2), frequencies=freqs)
+
+    def test_from_words_passes_counts_to_the_constructor(self, tiny_vocab):
+        words = [tiny_vocab.word(0), tiny_vocab.word(2)]
+        with pytest.raises(DomainError, match="occurrence counts must be integers"):
+            ImageObject.from_words("x", words, counts=[1.5, 2.0])
+        assert ImageObject.from_words("x", words, counts=[1, 2]).counts.tolist() == [1, 2]
+
+    def test_unsigned_integers_past_int64_refused_not_wrapped(self, tiny_vocab):
+        big = np.array([2 ** 63, 0], dtype=np.uint64)
+        with pytest.raises(DomainError, match="word ids must fit in int64"):
+            ImageObject(image_id="x", weights=np.ones(2), word_ids=big, vocab=tiny_vocab)
+        with pytest.raises(DomainError, match="occurrence counts must fit in int64"):
+            ImageObject(image_id="x", weights=np.ones(2), word_ids=[0, 1], vocab=tiny_vocab,
+                        counts=np.array([1, 2 ** 64 - 1], dtype=np.uint64))
+        with pytest.raises(DomainError, match="frequencies must fit in int64"):
+            Vocabulary(vectors=np.eye(2), frequencies=big)
+        with pytest.raises(DomainError, match="frequencies must fit in int64"):
+            Vocabulary(vectors=np.eye(2), frequencies=[-1, 2 ** 63])
+
+    def test_integer_columns_accept_any_integer_type(self, tiny_vocab):
+        for ids in ([2, 0], (2, 0), [np.int32(2), 0], np.array([2, 0], dtype=np.uint8),
+                    np.array([2, 0], dtype=object)):
+            img = ImageObject(image_id="x", weights=np.ones(2), word_ids=ids, vocab=tiny_vocab,
+                              counts=np.asarray(ids) + 1)
+            assert img.word_ids.dtype == img.counts.dtype == np.int64
+            assert img.word_ids.tolist() == [2, 0] and img.counts.tolist() == [3, 1]
+        freqs = np.array([2 ** 63 - 1, 0], dtype=np.uint64)
+        assert Vocabulary(vectors=np.eye(2), frequencies=freqs).frequencies.tolist() == [2 ** 63 - 1, 0]
+
     def test_match_outcome_validation(self):
         with pytest.raises(DomainError):
             MatchOutcome(a_indices=[0], b_indices=[0], lambdas=[0.0], mu=[0.0])

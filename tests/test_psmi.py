@@ -26,7 +26,7 @@ from vwsim import (
     weighted_code_length,
 )
 from vwsim.core import unit_rows
-from vwsim.matching import _pair_scores, cosine
+from vwsim.matching import _pair_score, _pair_scores, cosine
 
 
 def vocab_image(vocab, ids, weights=None, name="img"):
@@ -74,6 +74,26 @@ class TestBuild:
                            frequencies=np.array([1, 1, 1]))
         idx = build_psmi_index(vocab, 0.5)
         assert entry_pairs(idx, 1) == [(1, 1.0), (0, 1.0)]
+
+    @pytest.mark.parametrize("stacked", [False, True], ids=["grid", "grid+reversed"])
+    def test_tie_order_against_scalar_reference(self, stacked):
+        # Directions on a small integer grid tie often and exactly; the grid
+        # stacked with its reverse also gives every word an identical twin.
+        grid = [p for p in itertools.product(range(-2, 3), repeat=3) if any(p)]
+        grid = np.array(grid + grid[::-1] if stacked else grid, dtype=float)
+        vocab = Vocabulary(vectors=unit_rows(grid), frequencies=np.ones(len(grid), dtype=np.int64))
+        unit, k = vocab.unit_matrix, vocab.size
+        scores = [[_pair_score(unit[w], unit[j]) for j in range(k)] for w in range(k)]
+        tied = 0
+        for mu0 in (0.0, 0.3, 0.6, 0.9):
+            idx = build_psmi_index(vocab, mu0)
+            for w, row in enumerate(scores):
+                expected = sorted((j for j in range(k) if row[j] > mu0),
+                                  key=lambda j: (j != w, -row[j], j))
+                assert entry_pairs(idx, w) == [(j, row[j]) for j in expected]
+                _, sims = huffman_search(idx, w)
+                tied += int(np.count_nonzero(sims[2:] == sims[1:-1]))
+        assert tied >= 1000
 
     def test_deterministic_bytes(self, tmp_path):
         rng = np.random.RandomState(101)
