@@ -62,6 +62,11 @@ def _column(values, dtype, what: str) -> np.ndarray:
         raise DomainError(f"{what} must be a rectangular numeric array") from exc
 
 
+def _word_id(value) -> int:
+    """A scalar word id, under the integer rule of :func:`_column`."""
+    return int(_column(np.reshape(value, 1), np.int64, "word id")[0])
+
+
 def _squared_norms(matrix: np.ndarray, what: str) -> np.ndarray:
     """Squared row norms, refusing any that is not finite and positive.
 
@@ -141,7 +146,7 @@ class VisualWord:
             raise DomainError(f"word weight must be in (0, 1], got {w!r}")
         object.__setattr__(self, "weight", w)
         if self.word_id is not None:
-            wid = int(self.word_id)
+            wid = _word_id(self.word_id)
             if wid < 0:
                 raise DomainError(f"word id must be non-negative, got {wid}")
             object.__setattr__(self, "word_id", wid)
@@ -207,7 +212,7 @@ class Vocabulary:
 
     def word(self, word_id: int, weight: float = 1.0) -> VisualWord:
         """Materialize a word of this vocabulary as a :class:`VisualWord`."""
-        wid = int(word_id)
+        wid = _word_id(word_id)
         if not (0 <= wid < self.size):
             raise DomainError(f"word id {wid} outside vocabulary of size {self.size}")
         return VisualWord(word_id=wid, vector=self.vectors[wid], weight=weight)

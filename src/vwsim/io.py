@@ -233,9 +233,11 @@ def _check_psmi_lists(where: str, mu0_build: float, offsets: np.ndarray,
     fail(starts == offsets[1:], words, "has no self entry")
     fail(ids >= k, rows, f"references an id >= {k}")
     fail((ids[starts] != words) | (sims[starts] != 1.0), words, "must lead with its self entry")
-    rising = np.concatenate(([False], sims[1:] > sims[:-1]))
-    rising[starts] = False
-    fail(rising, rows, "entries are not in descending order")
+    # Past each list's first two entries, a similarity falls or ties with a rising id.
+    disorder = np.concatenate(([False], (sims[1:] > sims[:-1])
+                               | ((sims[1:] == sims[:-1]) & (ids[1:] < ids[:-1]))))
+    disorder[np.arange(ids.size) - starts[rows] < 2] = False
+    fail(disorder, rows, "entries are not in descending order (ties by ascending id)")
     fail(~((sims > mu0_build) & (sims <= 1.0)), rows, "stores a similarity outside the build range")
 
     # One key per (word, id) pair, exact in uint64 since ids < k < 2**32.

@@ -19,6 +19,9 @@ from .io import Dataset
 
 __all__ = ["tfidf_weights", "assign_words", "kmeans_quantize"]
 
+_MAX_ITER = 100  # Lloyd rounds at most,
+_TOL = 1e-6  # or until no centroid moves this far
+
 
 def tfidf_weights(dataset: Dataset) -> Dataset:
     """Replace every image's weights with max-normalized tf-idf.
@@ -36,26 +39,25 @@ def tfidf_weights(dataset: Dataset) -> Dataset:
             raise DomainError(f"image {img.image_id!r} has no word ids; tf-idf needs word identity")
         if img.counts is None:
             raise DomainError(f"image {img.image_id!r} has no occurrence counts")
-        ids = img.word_ids
-        counts = img.counts
-        keep = np.arange(ids.size)
+        ids, counts, keep = img.word_ids, img.counts, np.arange(img.word_count)
         if np.unique(ids).size != ids.size:
             # Repeated ids collapse into one word; same-id words carry the
             # same vector, so the first occurrence stands for all of them.
-            uniq, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
-            summed = np.zeros(uniq.size, dtype=np.int64)
-            np.add.at(summed, inverse, counts)
-            ids, counts, keep = uniq, summed, first
+            ids, keep, inverse = np.unique(ids, return_index=True, return_inverse=True)
+            counts = np.zeros(ids.size, dtype=np.int64)
+            np.add.at(counts, inverse, img.counts)
         aggregated.append((img, ids, counts, keep))
 
-    df: dict[int, int] = {}
-    for _, ids, _, _ in aggregated:
-        for wid in ids.tolist():
-            df[wid] = df.get(wid, 0) + 1
+    # idf by ``math.log`` (``np.log`` is an ulp off on some arguments), once
+    # per distinct document frequency, gathered back to each occurrence.
+    all_ids = np.concatenate([ids for _, ids, _, _ in aggregated])
+    _, word_of, df = np.unique(all_ids, return_inverse=True, return_counts=True)
+    levels, level_of = np.unique(df[word_of], return_inverse=True)
+    idf = np.array([math.log(1.0 + n_images / v) for v in levels.tolist()])[level_of]
+    idf_sets = np.split(idf, np.cumsum([ids.size for _, ids, _, _ in aggregated])[:-1])
 
     images = []
-    for img, ids, counts, keep in aggregated:
-        idf = np.array([math.log(1.0 + n_images / df[w]) for w in ids.tolist()])
+    for (img, ids, counts, keep), idf in zip(aggregated, idf_sets):
         raw = (counts / counts.max()) * idf
         weights = raw / raw.max()
         vectors = None if img.vectors is None else img.vectors[keep]
@@ -91,54 +93,47 @@ def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.RandomState) -> n
     proportional to (1 - best cosine so far)."""
     total = points.shape[0]
     chosen = [int(rng.randint(total))]
+    taken = np.zeros(total, dtype=bool)
+    taken[chosen[0]] = True
     best = points @ points[chosen[0]]
     for _ in range(1, k):
         dist = np.clip(1.0 - best, 0.0, None)
-        dist[chosen] = 0.0
+        dist[taken] = 0.0
         mass = dist.sum()
-        if mass > 0.0:
-            nxt = int(rng.choice(total, p=dist / mass))
-        else:
-            remaining = sorted(set(range(total)) - set(chosen))
-            nxt = remaining[0]
+        nxt = int(rng.choice(total, p=dist / mass)) if mass > 0.0 else int(np.argmin(taken))
         chosen.append(nxt)
+        taken[nxt] = True
         best = np.maximum(best, points @ points[nxt])
     return points[chosen].copy()
 
 
-def _spherical_kmeans(points: np.ndarray, k: int, rng: np.random.RandomState,
-                      max_iter: int = 100, tol: float = 1e-6):
+def _spherical_kmeans(points: np.ndarray, k: int, rng: np.random.RandomState):
     """Lloyd iterations on the sphere; returns (centroids, assignment, objective history).
 
     The objective (mean cosine of each point to its centroid) never
     decreases: assignment moves points to their best centroid, and the
-    normalized mean maximizes within-cluster cosine mass. Empty clusters
-    keep their previous centroid.
+    normalized mean maximizes within-cluster cosine mass. Empty clusters,
+    and clusters whose mean is the zero vector, keep their previous centroid.
     """
     centroids = _kmeans_pp_init(points, k, rng)
-    history = []
-    assignment = None
-    for _ in range(max_iter):
+    history, movement = [], np.inf
+    while True:
         scores = points @ centroids.T
         assignment = np.argmax(scores, axis=1)
         history.append(float(scores[np.arange(points.shape[0]), assignment].mean()))
-        new_centroids = centroids.copy()
-        for c in range(k):
-            members = points[assignment == c]
-            if members.shape[0] == 0:
-                continue
-            mean = members.mean(axis=0)
-            norm = np.linalg.norm(mean)
-            if norm > 0.0:
-                new_centroids[c] = mean / norm
-        movement = float(np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max())
-        centroids = new_centroids
-        if movement < tol:
-            break
-    scores = points @ centroids.T
-    assignment = np.argmax(scores, axis=1)
-    history.append(float(scores[np.arange(points.shape[0]), assignment].mean()))
-    return centroids, assignment, history
+        if movement < _TOL or len(history) > _MAX_ITER:
+            return centroids, assignment, history
+        # ``add.at`` sums each cluster's rows from 0.0 in point order and the
+        # vector-by-vector matmul is ``np.linalg.norm``'s dot, so centroids
+        # keep their bits. An empty cluster gets a zero mean.
+        sums = np.zeros(centroids.shape)
+        np.add.at(sums, assignment, points)
+        means = sums / np.maximum(np.bincount(assignment, minlength=k), 1)[:, None]
+        norms = np.sqrt((means[:, None, :] @ means[:, :, None])[:, 0, 0])
+        moved = norms > 0.0
+        previous, centroids = centroids, centroids.copy()
+        centroids[moved] = means[moved] / norms[moved, None]
+        movement = float(np.sqrt(((centroids - previous) ** 2).sum(axis=1)).max())
 
 
 def kmeans_quantize(feature_sets: Sequence[np.ndarray], k: int, seed: int,
@@ -170,13 +165,12 @@ def kmeans_quantize(feature_sets: Sequence[np.ndarray], k: int, seed: int,
     centroids, assignment, _ = _spherical_kmeans(points, k, rng)
 
     # Relabel by first assignment; clusters nothing was assigned to go last.
-    order = np.full(k, points.shape[0] + np.arange(k), dtype=np.int64)
     seen, first = np.unique(assignment, return_index=True)
-    order[seen] = first
+    by_first = np.concatenate((seen[np.argsort(first)], np.setdiff1d(np.arange(k), seen)))
     relabel = np.empty(k, dtype=np.int64)
-    relabel[np.argsort(order, kind="stable")] = np.arange(k)
+    relabel[by_first] = np.arange(k)
 
-    centroids = unit_rows(centroids[np.argsort(order, kind="stable")])
+    centroids = unit_rows(centroids[by_first])
     assignment = relabel[assignment]
     frequencies = np.bincount(assignment, minlength=k).astype(np.int64)
     vocab = Vocabulary(vectors=centroids, frequencies=frequencies)

@@ -87,19 +87,15 @@ def generate_synthetic(config: GeneratorConfig) -> tuple[Dataset, tuple[ImageObj
     vectors = unit_rows(rng.standard_normal((k, d)))
     probs = zipf_probabilities(k, config.zipf_exponent)
 
-    draws = [rng.choice(k, size=config.words_per_image, p=probs)
-             for _ in range(config.image_count)]
-    vocab = Vocabulary(vectors=vectors, frequencies=np.bincount(np.concatenate(draws), minlength=k))
+    # Row i takes the same uniforms that one draw per image would.
+    draws = rng.choice(k, size=(config.image_count, config.words_per_image), p=probs)
+    vocab = Vocabulary(vectors=vectors, frequencies=np.bincount(draws.ravel(), minlength=k))
     names = [f"img{i:06d}" for i in range(config.image_count)]
     dataset = tfidf_weights(_count_images(names, draws, vocab))
 
     dup_count = int(config.duplicate_fraction * config.image_count + 0.5)
-    sources = rng.choice(config.image_count, size=dup_count, replace=False)
-    queries = []
-    truth: dict[str, str] = {}
-    for q, src in enumerate(sources):
-        source = dataset.images[int(src)]
-        dup = perturb_image(source, config.perturbation, rng, image_id=f"dup{q:06d}")
-        queries.append(dup)
-        truth[dup.image_id] = source.image_id
-    return dataset, tuple(queries), truth
+    sources = rng.choice(config.image_count, size=dup_count, replace=False).tolist()
+    queries = tuple(perturb_image(dataset.images[src], config.perturbation, rng, f"dup{q:06d}")
+                    for q, src in enumerate(sources))
+    truth = {dup.image_id: dataset.images[src].image_id for dup, src in zip(queries, sources)}
+    return dataset, queries, truth

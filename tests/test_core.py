@@ -198,6 +198,19 @@ class TestValidation:
         with pytest.raises(DomainError):
             VisualWord(-3, [1.0, 0.0], 1.0)
 
+    @pytest.mark.parametrize("wid", [2.7, True, 1.0])
+    def test_visual_word_id_refuses_non_integers(self, wid):
+        with pytest.raises(DomainError, match="word id must be integers"):
+            VisualWord(wid, [1.0, 0.0], 1.0)
+
+    def test_vocabulary_word_refuses_non_integer_id(self, tiny_vocab):
+        with pytest.raises(DomainError, match="word id must be integers"):
+            tiny_vocab.word(1.9)
+
+    def test_numpy_integer_word_ids_accepted(self, tiny_vocab):
+        assert VisualWord(np.int64(2), [1.0, 0.0], 1.0).word_id == 2
+        assert tiny_vocab.word(np.uint8(1)).word_id == 1
+
     def test_vocabulary_requires_unit_vectors(self):
         with pytest.raises(DomainError):
             Vocabulary(vectors=np.array([[2.0, 0.0]]), frequencies=np.array([1]))

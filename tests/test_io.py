@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import struct
 import tracemalloc
@@ -15,6 +16,7 @@ from vwsim import (
     ImageObject,
     PsimIndex,
     ValidationError,
+    Vocabulary,
     build_psmi_index,
     load_images,
     load_psmi,
@@ -25,6 +27,7 @@ from vwsim import (
     save_truth,
     save_vocabulary,
 )
+from vwsim.core import unit_rows
 
 
 class TestVocabularyFiles:
@@ -378,6 +381,23 @@ class TestPsmiFiles:
         self._write_lists(path, lists)
         with pytest.raises(FormatError, match=message):
             load_psmi(path)
+
+    def test_swapped_tied_entries_rejected(self, tmp_path):
+        # Grid directions tie exactly. Swapping two tied entries past the
+        # self entry keeps every mirror, so only the tie order catches it.
+        grid = [p for p in itertools.product(range(-2, 3), repeat=3) if any(p)]
+        vocab = Vocabulary(vectors=unit_rows(np.array(grid, dtype=float)),
+                           frequencies=np.ones(len(grid), dtype=np.int64))
+        idx = build_psmi_index(vocab, 0.3)
+        ids, sims = idx.csr_ids.copy(), idx.csr_sims
+        rank = np.arange(ids.size) - idx.csr_offsets[:-1].repeat(np.diff(idx.csr_offsets))
+        i = int(np.flatnonzero((rank[1:] >= 2) & (sims[1:] == sims[:-1]))[0])
+        ids[[i, i + 1]] = ids[[i + 1, i]]
+        path = tmp_path / "idx.psmi"
+        save_psmi(PsimIndex.from_lists(idx.frequencies, idx.csr_offsets, ids, sims, 0.3,
+                                       idx.vocab_checksum, 3), path)
+        with pytest.raises(FormatError, match="ascending id"):
+            load_psmi(path, vocab=vocab)
 
     def test_symmetric_hand_written_lists_load(self, tmp_path):
         path = tmp_path / "idx.psmi"

@@ -126,6 +126,25 @@ class TestKmeans:
         assert int(vocab.frequencies.sum()) == total
         assert sum(int(img.counts.sum()) for img in dataset.images) == total
 
+    def test_golden_codebook(self):
+        # Pins centroid bits, frequencies and per-image words of a clustered
+        # input on which Lloyd runs 13 rounds before it settles.
+        import hashlib
+
+        from vwsim.core import unit_rows
+        rng = np.random.RandomState(181)
+        centers = rng.standard_normal((6, 8))
+        feats = [centers[rng.randint(0, 6, 50)] + 0.6 * rng.standard_normal((50, 8))
+                 for _ in range(8)]
+        _, _, history = _spherical_kmeans(unit_rows(np.concatenate(feats)), 12,
+                                          np.random.RandomState(3))
+        assert len(history) == 14
+        vocab, dataset = kmeans_quantize(feats, 12, seed=3)
+        digest = hashlib.sha256(vocab.vectors.tobytes() + vocab.frequencies.tobytes())
+        for img in dataset.images:
+            digest.update(img.word_ids.tobytes() + img.counts.tobytes())
+        assert digest.hexdigest() == "6accef5f48058870881d9ad72234a67378d3fe435ee7fe3a4b3874080bde3fc6"
+
 
 class TestAssign:
     def test_assigns_nearest_word(self, tiny_vocab):
