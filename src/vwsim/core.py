@@ -116,8 +116,11 @@ def check_threshold(mu0: float) -> float:
     """Validate a similarity threshold; must lie in ``[0, 1)``.
 
     A threshold of exactly 1 would reject identical words due to rounding,
-    so it is excluded.
+    so it is excluded. Strings, bytes and bools are refused, not parsed or
+    read as 0 and 1.
     """
+    if isinstance(mu0, (str, bytes, bool, np.bool_)):
+        raise DomainError(f"similarity threshold must be a number, got {mu0!r}")
     mu0 = float(mu0)
     if not (0.0 <= mu0 < 1.0) or math.isnan(mu0):
         raise DomainError(f"similarity threshold must be in [0, 1), got {mu0!r}")
@@ -222,9 +225,9 @@ class Vocabulary:
 class ImageObject:
     """An image identifier plus an ordered sequence of weighted visual words.
 
-    An image has at least one word, and its inline vectors can be normalized.
-    This constructor is the one place these are checked, so no loader,
-    matcher or scorer re-checks them.
+    An image has a non-empty string id and at least one word, and its inline
+    vectors can be normalized. This constructor is the one place these are
+    checked, so no loader, matcher or scorer re-checks them.
 
     Stored columnar for efficiency: ``weights`` always, plus either an
     explicit ``(m, d)`` ``vectors`` matrix (raw words) or ``word_ids``
@@ -240,6 +243,8 @@ class ImageObject:
     counts: Optional[np.ndarray] = None
 
     def __post_init__(self):
+        if not isinstance(self.image_id, str) or not self.image_id:
+            raise DomainError(f"image_id must be a non-empty string, got {self.image_id!r}")
         weights = _column(self.weights, np.float64, "weights")
         if weights.ndim != 1:
             raise ContractError("weights must be a 1-D array")
@@ -335,64 +340,51 @@ class ImageObject:
 class MatchOutcome:
     """Result of directionally matching image A against image B.
 
-    ``mu[i]`` is the retained similarity of A's word ``i`` (0 when it found
-    no partner above the threshold). The pair arrays list, in ascending
-    ``a_index`` order, each matched word with its chosen B-side index and
-    similarity. One B word may partner several A words. ``matched_b_ids``
-    is derived from ``b_indices``; passing it is allowed, but a value that
-    disagrees is rejected.
+    One entry per A word: ``partners[i]`` is the B position chosen for A's
+    word ``i`` and ``mu[i]`` its similarity, or ``-1`` and ``0`` when the
+    word found no partner above the threshold. One B word may partner
+    several A words.
 
-    The constructor is the one place the whole invariant is checked, so
-    every outcome, however it was built, is consistent.
+    The constructor checks the one invariant these arrays carry: a word has
+    a partner exactly when its ``mu`` is positive. The pair views
+    (``a_indices``, ``b_indices``, ``lambdas``, ``pairs``, ``matched_b_ids``)
+    are derived from the two arrays, so they cannot disagree with them.
     """
 
-    a_indices: np.ndarray
-    b_indices: np.ndarray
-    lambdas: np.ndarray
     mu: np.ndarray
-    matched_b_ids: Optional[frozenset[int]] = None
+    partners: np.ndarray
 
     def __post_init__(self):
-        a_idx = np.ascontiguousarray(self.a_indices, dtype=np.int64)
-        b_idx = np.ascontiguousarray(self.b_indices, dtype=np.int64)
-        lam = np.ascontiguousarray(self.lambdas, dtype=np.float64)
         mu = np.ascontiguousarray(self.mu, dtype=np.float64)
-        if not (a_idx.shape == b_idx.shape == lam.shape) or a_idx.ndim != 1 or mu.ndim != 1:
-            raise ContractError("pair arrays and mu must be aligned 1-D arrays")
-        if a_idx.size:
-            if not (lam.min() > 0.0 and lam.max() <= 1.0):
-                raise DomainError("pair similarities must lie in (0, 1]")
-            if np.any(np.diff(a_idx) <= 0):
-                raise ContractError("pairs must be ordered by strictly ascending a_index")
-            if a_idx[0] < 0 or a_idx[-1] >= mu.size:
-                raise ContractError("pair a_index out of range")
-            if b_idx.min() < 0:
-                raise ContractError("pair b_index must be non-negative")
-            if not np.array_equal(mu[a_idx], lam):
-                raise ContractError("mu must hold each pair's similarity at its a_index")
-        if np.count_nonzero(mu) != a_idx.size:
-            raise ContractError("mu must be 0 for every word without a pair")
-        matched = frozenset(b_idx.tolist())
-        if self.matched_b_ids is not None and frozenset(self.matched_b_ids) != matched:
-            raise ContractError("matched_b_ids must be the set of b_indices")
-        for name, arr in (("a_indices", a_idx), ("b_indices", b_idx), ("lambdas", lam), ("mu", mu)):
-            object.__setattr__(self, name, _readonly(arr))
-        object.__setattr__(self, "matched_b_ids", matched)
+        partners = np.ascontiguousarray(self.partners, dtype=np.int64)
+        if mu.shape != partners.shape or mu.ndim != 1:
+            raise ContractError("mu and partners must be aligned 1-D arrays")
+        if not np.all((mu >= 0.0) & (mu <= 1.0)):
+            raise DomainError("similarities must lie in [0, 1]")
+        if not np.all(partners >= -1):
+            raise ContractError("a partner is a B position, or -1 for none")
+        if not np.array_equal(mu > 0.0, partners >= 0):
+            raise ContractError("a word has a partner exactly when its mu is > 0")
+        object.__setattr__(self, "mu", _readonly(mu))
+        object.__setattr__(self, "partners", _readonly(partners))
 
     @classmethod
     def from_arrays(cls, mu: np.ndarray, partners: np.ndarray) -> "MatchOutcome":
-        """Canonical assembly from per-A-word results.
+        """Same as ``MatchOutcome(mu, partners)``."""
+        return cls(mu, partners)
 
-        ``partners[i]`` is the chosen B index for word ``i`` or ``-1`` when
-        unmatched. Every matcher funnels through this constructor so equal
-        inputs assemble into bit-identical outcomes.
-        """
-        mu = np.ascontiguousarray(mu, dtype=np.float64)
-        partners = np.ascontiguousarray(partners, dtype=np.int64)
-        if mu.shape != partners.shape or mu.ndim != 1:
-            raise ContractError("mu and partners must be aligned 1-D arrays")
-        a_idx = np.flatnonzero(partners >= 0)
-        return cls(a_indices=a_idx, b_indices=partners[a_idx], lambdas=mu[a_idx], mu=mu)
+    @cached_property
+    def a_indices(self) -> np.ndarray:
+        """Matched A positions, ascending."""
+        return _readonly(np.flatnonzero(self.partners >= 0))
+
+    @property
+    def b_indices(self) -> np.ndarray:
+        return _readonly(self.partners[self.a_indices])
+
+    @property
+    def lambdas(self) -> np.ndarray:
+        return _readonly(self.mu[self.a_indices])
 
     @property
     def pair_count(self) -> int:
@@ -403,13 +395,14 @@ class MatchOutcome:
         return [(int(a), int(b), float(s))
                 for a, b, s in zip(self.a_indices, self.b_indices, self.lambdas)]
 
+    @property
+    def matched_b_ids(self) -> frozenset[int]:
+        return frozenset(self.b_indices.tolist())
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, MatchOutcome):
             return NotImplemented
-        return (np.array_equal(self.a_indices, other.a_indices)
-                and np.array_equal(self.b_indices, other.b_indices)
-                and np.array_equal(self.lambdas, other.lambdas)
-                and np.array_equal(self.mu, other.mu))
+        return np.array_equal(self.mu, other.mu) and np.array_equal(self.partners, other.partners)
 
 
 def normalize_weights(raw: Sequence[float]) -> np.ndarray:
@@ -444,17 +437,18 @@ def image_similarity(a: ImageObject, b: ImageObject, match: MatchOutcome) -> flo
         raise ContractError("match does not cover image A (mu length mismatch)")
     if match.pair_count == 0:
         return 0.0
-    if int(match.b_indices.max()) >= b.word_count:
+    b_idx = match.b_indices
+    if int(b_idx.max()) >= b.word_count:
         raise ContractError("match references B-side indices out of range")
 
     wa = aw[match.a_indices]
-    wb = bw[match.b_indices]
+    wb = bw[b_idx]
     lam = match.lambdas
     numerator = float(np.sum(lam * wa * wb))
 
     unmatched_a = float(aw[match.mu == 0.0].sum())
     b_mask = np.ones(b.word_count, dtype=bool)
-    b_mask[match.b_indices] = False
+    b_mask[b_idx] = False
     unmatched_b = float(bw[b_mask].sum())
 
     mass = math.sqrt(float(aw.sum()) * float(bw.sum()))

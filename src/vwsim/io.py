@@ -130,8 +130,6 @@ def save_images(dataset: Dataset, path) -> None:
 def _parse_image(rec: dict, vocab: Optional[Vocabulary], where: str) -> ImageObject:
     """Parse one record into columns; the ImageObject constructor validates them."""
     image_id = rec["image_id"]
-    if not isinstance(image_id, str) or not image_id:
-        raise ValidationError(f"{where}: image_id must be a non-empty string")
     words = rec["words"]
     if not isinstance(words, list) or not words:
         raise ValidationError(f"{where}: image {image_id!r} has no words")

@@ -151,7 +151,7 @@ def smin_match(a: ImageObject, b: ImageObject, mu0: float) -> MatchOutcome:
         if best > mu0:
             mu[i] = best
             partners[i] = best_j
-    return MatchOutcome.from_arrays(mu, partners)
+    return MatchOutcome(mu, partners)
 
 
 def smin_similarity(a: ImageObject, b: ImageObject, mu0: float) -> float:

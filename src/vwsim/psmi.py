@@ -31,6 +31,7 @@ from .core import (
     ImageObject,
     MatchOutcome,
     Vocabulary,
+    _word_id,
     check_threshold,
     image_similarity,
 )
@@ -150,7 +151,9 @@ class PsimIndex:
     @cached_property
     def lists(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         """Every word's ``(ids, sims)`` slice pair, in word-id order."""
-        return tuple(huffman_search(self, wid) for wid in range(self.size))
+        bounds = self.csr_offsets.tolist()
+        return tuple((self.csr_ids[lo:hi], self.csr_sims[lo:hi])
+                     for lo, hi in zip(bounds, bounds[1:]))
 
     @classmethod
     def from_lists(cls, frequencies: np.ndarray, offsets: np.ndarray, ids: np.ndarray,
@@ -209,7 +212,7 @@ def build_psmi_index(vocab: Vocabulary, mu0_build: float) -> PsimIndex:
 
 def huffman_search(idx: PsimIndex, word_id: int) -> tuple[np.ndarray, np.ndarray]:
     """A word's list as read-only ``(ids, sims)`` views of the CSR arrays."""
-    wid = int(word_id)
+    wid = _word_id(word_id)
     if not 0 <= wid < idx.size:
         raise UnknownWordError(f"word id {wid} is not in the indexed vocabulary")
     lo, hi = idx.csr_offsets[wid], idx.csr_offsets[wid + 1]
@@ -259,7 +262,7 @@ def psmi_match(a: ImageObject, b: ImageObject, mu0_query: float, idx: PsimIndex)
     mu = np.maximum.reduceat(cand_sims, seg_offsets)
     tied = np.where(cand_sims == np.repeat(mu, lengths), cand_pos, n)
     partners = np.where(mu > 0.0, np.minimum.reduceat(tied, seg_offsets), -1)
-    return MatchOutcome.from_arrays(mu, partners)
+    return MatchOutcome(mu, partners)
 
 
 def psmi_similarity(a: ImageObject, b: ImageObject, mu0: float, idx: PsimIndex) -> float:

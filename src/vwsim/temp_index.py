@@ -82,7 +82,7 @@ def smii_match(a: ImageObject, b: ImageObject, mu0: float) -> MatchOutcome:
     mu0 = check_threshold(mu0)
     partners, mu = _top1(build_temp_index(b), a.vector_matrix())
     hit = mu > mu0
-    return MatchOutcome.from_arrays(np.where(hit, mu, 0.0), np.where(hit, partners, -1))
+    return MatchOutcome(np.where(hit, mu, 0.0), np.where(hit, partners, -1))
 
 
 def smii_similarity(a: ImageObject, b: ImageObject, mu0: float) -> float:

@@ -182,9 +182,8 @@ class TestCriterion4RangeAndMonotonicity:
             before = image_similarity(a, b, match)
             grown = ImageObject(image_id="a+", weights=np.append(a.weights, 0.5),
                                 vectors=np.vstack([a.vectors, rng.standard_normal(3)]))
-            grown_match = MatchOutcome(a_indices=match.a_indices, b_indices=match.b_indices,
-                                       lambdas=match.lambdas, mu=np.append(match.mu, 0.0),
-                                       matched_b_ids=match.matched_b_ids)
+            grown_match = MatchOutcome(mu=np.append(match.mu, 0.0),
+                                       partners=np.append(match.partners, -1))
             assert image_similarity(grown, b, grown_match) < before
             count_checks += 1
 

@@ -157,10 +157,8 @@ class TestRangeAndMonotonicity:
             grown = ImageObject(
                 image_id="a+", weights=np.append(a.weights, 0.5),
                 vectors=np.vstack([a.vectors, rng.standard_normal(3)]))
-            grown_match = MatchOutcome(
-                a_indices=match.a_indices, b_indices=match.b_indices,
-                lambdas=match.lambdas, mu=np.append(match.mu, 0.0),
-                matched_b_ids=match.matched_b_ids)
+            grown_match = MatchOutcome(mu=np.append(match.mu, 0.0),
+                                       partners=np.append(match.partners, -1))
             assert image_similarity(grown, b, grown_match) < before
 
 
@@ -269,28 +267,31 @@ class TestValidation:
         assert Vocabulary(vectors=np.eye(2), frequencies=freqs).frequencies.tolist() == [2 ** 63 - 1, 0]
 
     def test_match_outcome_validation(self):
-        with pytest.raises(DomainError):
-            MatchOutcome(a_indices=[0], b_indices=[0], lambdas=[0.0], mu=[0.0])
-        with pytest.raises(ContractError):
-            MatchOutcome(a_indices=[1, 0], b_indices=[0, 0], lambdas=[0.5, 0.5],
-                         mu=[0.5, 0.5])
-        with pytest.raises(ContractError):
-            MatchOutcome(a_indices=[0], b_indices=[0], lambdas=[0.5], mu=[0.9])
-        with pytest.raises(ContractError):
-            MatchOutcome.from_arrays(np.array([0.5, 0.3]), np.array([0, -1]))
-        with pytest.raises(ContractError):  # mu nonzero off the pairs
-            MatchOutcome(a_indices=[0], b_indices=[0], lambdas=[0.5], mu=[0.5, 0.3])
-        with pytest.raises(ContractError):
-            MatchOutcome(a_indices=[0], b_indices=[-1], lambdas=[0.5], mu=[0.5])
-        with pytest.raises(ContractError):
-            MatchOutcome(a_indices=[0], b_indices=[1], lambdas=[0.5], mu=[0.5],
-                         matched_b_ids={7})
-        built = MatchOutcome(a_indices=[0, 2], b_indices=[1, 1], lambdas=[0.5, 0.8],
-                             mu=[0.5, 0.0, 0.8])
+        with pytest.raises(ContractError):  # misaligned
+            MatchOutcome(mu=[0.5, 0.0], partners=[0])
+        for bad_mu in (1.5, -0.1, float("nan")):
+            with pytest.raises(DomainError):
+                MatchOutcome(mu=[bad_mu], partners=[0])
+        with pytest.raises(ContractError):  # a partner below -1
+            MatchOutcome(mu=[0.0], partners=[-2])
+        with pytest.raises(ContractError):  # a partner with mu == 0
+            MatchOutcome(mu=[0.0], partners=[0])
+        with pytest.raises(ContractError):  # mu > 0 without a partner
+            MatchOutcome(mu=[0.5, 0.3], partners=[0, -1])
+        built = MatchOutcome(mu=[0.5, 0.0, 0.8], partners=[1, -1, 1])
         assert built == outcome([0.5, 0.0, 0.8], [1, -1, 1])
         assert built.matched_b_ids == frozenset({1})
-        assert MatchOutcome(a_indices=[0, 2], b_indices=[1, 1], lambdas=[0.5, 0.8],
-                            mu=[0.5, 0.0, 0.8], matched_b_ids=[1]) == built
+        assert built.a_indices.tolist() == [0, 2]
+        hit = np.flatnonzero(built.partners >= 0)
+        for view, want in ((built.a_indices, hit), (built.b_indices, built.partners[hit]),
+                           (built.lambdas, built.mu[hit])):
+            assert not view.flags.writeable and np.array_equal(view, want)
+
+    def test_image_id_must_be_a_non_empty_string(self):
+        # An image that save_images could write must be one load_images reads.
+        for bad in (5, ""):
+            with pytest.raises(DomainError, match="image_id"):
+                make_raw_image(bad, [[1.0, 0.0]], [1.0])
 
 
 class TestTypes:

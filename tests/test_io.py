@@ -200,6 +200,8 @@ class TestMalformedRecords:
         ("images", [_image({"word_id": True, "weight": 1.0})], "JSON integer"),
         ("images", [_image({"word_id": 0, "count": 2.5})], "JSON integer"),
         ("images", [_image({"word_id": 0, "count": True})], "JSON integer"),
+        ("images", [{"image_id": 5, "words": [{"word_id": 0, "weight": 1.0}]}], "image_id"),
+        ("images", [{"image_id": "", "words": [{"word_id": 0, "weight": 1.0}]}], "image_id"),
     ])
     def test_rejected_as_validation_error(self, tmp_path, tiny_vocab, kind, records, message):
         path = tmp_path / f"{kind}.jsonl"

@@ -89,10 +89,11 @@ class TestBestMatch:
             best_match([1.0, 0.0], [[1.0, 0.0], [1.0, 0.0, 0.0]], 0.5)
 
     def test_bad_threshold(self):
-        with pytest.raises(DomainError):
-            best_match([1.0, 0.0], [[1.0, 0.0]], 1.0)
-        with pytest.raises(DomainError):
-            best_match([1.0, 0.0], [[1.0, 0.0]], -0.1)
+        for mu0 in (1.0, -0.1, "0.5", b"0.5", False, True, np.bool_(False)):
+            with pytest.raises(DomainError):
+                best_match([1.0, 0.0], [[1.0, 0.0]], mu0)
+        for mu0 in (0, 0.5, np.float32(0.5), np.float64(0.5), np.int64(0)):
+            assert best_match([1.0, 0.0], [[1.0, 0.0]], mu0) == (1.0, 0)
 
 
 def raw_image(name, vectors, weights=None):

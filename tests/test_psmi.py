@@ -169,6 +169,14 @@ class TestSearch:
             with pytest.raises(UnknownWordError):
                 huffman_search(idx, word_id)
 
+    def test_word_id_follows_the_integer_rule(self, tiny_vocab):
+        idx = build_psmi_index(tiny_vocab, 0.7)
+        for word_id in (2.7, True, 1.0):
+            with pytest.raises(DomainError):
+                huffman_search(idx, word_id)
+        ids, _ = huffman_search(idx, np.int32(2))
+        assert ids[0] == 2
+
     def test_returns_read_only_views_of_the_csr_arrays(self, tiny_vocab):
         idx = build_psmi_index(tiny_vocab, 0.7)
         for wid in range(idx.size):
