@@ -9,7 +9,8 @@ same outcome at different speeds:
 * ``smin_match``, the exhaustive double loop;
 * ``smii_match``, a per-call exact top-1 index over the target image;
 * ``psmi_match``, a reusable offline index of potential similar words per
-  vocabulary entry, stored as CSR arrays.
+  vocabulary entry, stored as CSR arrays; ``search`` scores one query
+  against a whole ``Corpus`` through it in one batched pass.
 
 The matchers agree exactly (bit-identical outcomes), which the test suite
 treats as a load-bearing contract.
@@ -48,6 +49,7 @@ from .io import (
 )
 from .matching import best_match, cosine, smin_match, smin_similarity
 from .psmi import (
+    Corpus,
     HuffmanNode,
     PsimIndex,
     build_huffman_tree,
@@ -56,6 +58,7 @@ from .psmi import (
     huffman_search,
     psmi_match,
     psmi_similarity,
+    search,
     weighted_code_length,
 )
 from .quantize import assign_words, kmeans_quantize, tfidf_weights
@@ -68,6 +71,7 @@ __all__ = [
     "BenchConfig",
     "CompatibilityError",
     "ContractError",
+    "Corpus",
     "Dataset",
     "DomainError",
     "FormatError",
@@ -111,6 +115,7 @@ __all__ = [
     "save_psmi",
     "save_truth",
     "save_vocabulary",
+    "search",
     "smii_match",
     "smii_similarity",
     "smin_match",

@@ -22,7 +22,7 @@ from .core import ImageObject, Vocabulary, check_threshold, unit_rows
 from .errors import DomainError
 from .io import Dataset, load_images, load_truth, load_vocabulary
 from .matching import smin_similarity
-from .psmi import PsimIndex, build_psmi_index, psmi_similarity
+from .psmi import Corpus, PsimIndex, build_psmi_index, psmi_similarity, search
 from .synth import perturb_image
 from .temp_index import smii_similarity
 
@@ -213,14 +213,17 @@ def run_hitrate(cfg: HitRateConfig) -> list[dict]:
     For each sampled ground-truth source, build a fresh duplicate at the
     row's perturbation level, rank every dataset image by similarity with
     the query as the first argument (ties broken by image id), and count a
-    hit when the source lands in the top k.
+    hit when the source lands in the top k. psmi scores each query against
+    the whole dataset in one :func:`~vwsim.psmi.search` pass; the other
+    algorithms score one image at a time.
     """
     dataset, truth = _load_benchmark(cfg.data_dir)
     if not truth:
         raise DomainError("ground-truth duplicate map is empty")
-    by_id = {img.image_id: img for img in dataset.images}
+    images = dataset.images
+    position = {img.image_id: i for i, img in enumerate(images)}
     source_ids = sorted(set(truth.values()))
-    missing = [s for s in source_ids if s not in by_id]
+    missing = [s for s in source_ids if s not in position]
     if missing:
         raise DomainError(f"ground truth references unknown images: {missing[:3]}")
     if cfg.query_count > len(source_ids):
@@ -228,22 +231,29 @@ def run_hitrate(cfg: HitRateConfig) -> list[dict]:
 
     rng = np.random.RandomState(cfg.seed)
     picked = rng.choice(len(source_ids), size=cfg.query_count, replace=False)
-    sources = [by_id[source_ids[int(i)]] for i in picked]
+    sources = [position[source_ids[int(i)]] for i in picked]
 
-    index = build_psmi_index(dataset.vocab, cfg.mu0) if cfg.algorithm == "psmi" else None
-    score = SCORERS[cfg.algorithm]
+    if cfg.algorithm == "psmi":
+        index = build_psmi_index(dataset.vocab, cfg.mu0)
+        corpus = Corpus.from_dataset(dataset)
+        scores = lambda query: search(query, corpus, cfg.mu0, index)
+    else:
+        score = SCORERS[cfg.algorithm]
+        scores = lambda query: np.array([score(query, img, cfg.mu0, None) for img in images])
 
-    mean_words = int(round(sum(img.word_count for img in dataset.images) / len(dataset.images)))
+    mean_words = int(round(sum(img.word_count for img in images) / len(images)))
+    # Dataset positions in image-id order: a stable sort of the negated
+    # scores in this order breaks ties by image id.
+    id_order = np.array(sorted(range(len(images)), key=lambda i: images[i].image_id))
 
-    def query_hit(query: ImageObject, source_id: str) -> bool:
-        scored = [(-score(query, img, cfg.mu0, index), img.image_id) for img in dataset.images]
-        scored.sort()
-        return source_id in {image_id for _, image_id in scored[:cfg.top_k]}
+    def query_hit(query: ImageObject, source: int) -> bool:
+        ranked = id_order[np.argsort(-scores(query)[id_order], kind="stable")]
+        return source in ranked[:cfg.top_k]
 
     rows = []
     for rho in cfg.rho_grid:
-        hits = sum(query_hit(perturb_image(src, rho, rng, image_id=f"query{qi:06d}"), src.image_id)
+        hits = sum(query_hit(perturb_image(images[src], rho, rng, image_id=f"query{qi:06d}"), src)
                    for qi, src in enumerate(sources))
-        rows.append({"rho": rho, "m": mean_words, "dataset_size": len(dataset.images),
+        rows.append({"rho": rho, "m": mean_words, "dataset_size": len(images),
                      "algo": cfg.algorithm, "hit_rate": hits / cfg.query_count})
     return rows

@@ -42,8 +42,17 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _private(arr: np.ndarray, source) -> np.ndarray:
+    """*arr* coerced from *source*, copied unless it owns a buffer of its own.
+
+    ``np.ascontiguousarray`` hands back the caller's array (or a view of it)
+    when no conversion is needed; freezing that would freeze the caller's.
+    """
+    return arr.copy() if arr is source or not arr.flags.owndata else arr
+
+
 def _column(values, dtype, what: str) -> np.ndarray:
-    """Coerce *values* to a contiguous array, failing as a :class:`DomainError`.
+    """Coerce *values* to a contiguous array of its own, failing as a :class:`DomainError`.
 
     An integer column refuses float (``1.0`` too), bool and string values,
     and values past its range, rather than truncate, parse or wrap them.
@@ -55,7 +64,7 @@ def _column(values, dtype, what: str) -> np.ndarray:
         if not all(issubclass(t, (int, np.integer)) and t is not bool for t in set(map(type, values.flat))):
             raise DomainError(f"{what} must be integers, not float, bool or string values")
     try:
-        return np.ascontiguousarray(values, dtype=dtype)
+        return _private(np.ascontiguousarray(values, dtype=dtype), values)
     except OverflowError as exc:
         raise DomainError(f"{what} must fit in {np.dtype(dtype).name}") from exc
     except (TypeError, ValueError) as exc:
@@ -355,15 +364,15 @@ class MatchOutcome:
     partners: np.ndarray
 
     def __post_init__(self):
-        mu = np.ascontiguousarray(self.mu, dtype=np.float64)
-        partners = np.ascontiguousarray(self.partners, dtype=np.int64)
+        mu = _private(np.ascontiguousarray(self.mu, dtype=np.float64), self.mu)
+        partners = _private(np.ascontiguousarray(self.partners, dtype=np.int64), self.partners)
         if mu.shape != partners.shape or mu.ndim != 1:
             raise ContractError("mu and partners must be aligned 1-D arrays")
-        if not np.all((mu >= 0.0) & (mu <= 1.0)):
+        if not ((mu >= 0.0) & (mu <= 1.0)).all():
             raise DomainError("similarities must lie in [0, 1]")
-        if not np.all(partners >= -1):
+        if not (partners >= -1).all():
             raise ContractError("a partner is a B position, or -1 for none")
-        if not np.array_equal(mu > 0.0, partners >= 0):
+        if not ((mu > 0.0) == (partners >= 0)).all():
             raise ContractError("a word has a partner exactly when its mu is > 0")
         object.__setattr__(self, "mu", _readonly(mu))
         object.__setattr__(self, "partners", _readonly(partners))
@@ -419,6 +428,28 @@ def normalize_weights(raw: Sequence[float]) -> np.ndarray:
     return arr / arr.max()
 
 
+def _segment_sums(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Sums of consecutive segments of *values* with the given *lengths*.
+
+    Every score sum goes through ``np.add.reduceat``, whose sum of a segment
+    depends on that segment's values alone, so summing one image pair and
+    summing a whole corpus in one call agree bit for bit; ``np.sum`` rounds
+    differently from 8 terms up. ``reduceat`` returns ``values[i]`` for an
+    empty segment, so only non-empty segments are reduced and the empty ones
+    are set to 0.0.
+    """
+    sums = np.zeros(lengths.size)
+    nonempty = lengths > 0
+    if values.size:
+        sums[nonempty] = np.add.reduceat(values, (np.cumsum(lengths) - lengths)[nonempty])
+    return sums
+
+
+def _sum(values: np.ndarray) -> float:
+    """:func:`_segment_sums` of one segment."""
+    return float(np.add.reduceat(values, [0])[0]) if values.size else 0.0
+
+
 def image_similarity(a: ImageObject, b: ImageObject, match: MatchOutcome) -> float:
     """Score two images from a completed directional match (A against B).
 
@@ -444,13 +475,13 @@ def image_similarity(a: ImageObject, b: ImageObject, match: MatchOutcome) -> flo
     wa = aw[match.a_indices]
     wb = bw[b_idx]
     lam = match.lambdas
-    numerator = float(np.sum(lam * wa * wb))
+    numerator = _sum(lam * wa * wb)
 
-    unmatched_a = float(aw[match.mu == 0.0].sum())
+    unmatched_a = _sum(aw[match.mu == 0.0])
     b_mask = np.ones(b.word_count, dtype=bool)
     b_mask[b_idx] = False
-    unmatched_b = float(bw[b_mask].sum())
+    unmatched_b = _sum(bw[b_mask])
 
-    mass = math.sqrt(float(aw.sum()) * float(bw.sum()))
-    penalty = math.sqrt(float(np.sum(lam * lam * wa * wb)) + unmatched_a * unmatched_b)
+    mass = math.sqrt(_sum(aw) * _sum(bw))
+    penalty = math.sqrt(_sum(lam * lam * wa * wb) + unmatched_a * unmatched_b)
     return numerator / (mass * penalty)

@@ -16,6 +16,10 @@ query word's entries above the query threshold whose word is in the target
 image, it keeps the maximum, ties to the smallest target position: the naive
 double loop's rule, so outcomes are bit-identical whenever the query
 threshold is at least the build threshold. List order is a file-format rule.
+
+:func:`search` scores one query against a whole :class:`Corpus` in one
+batched pass over the same lists, with per-image postings in place of the
+per-pair id lookup; its scores equal :func:`psmi_similarity`'s bit for bit.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
@@ -31,6 +35,9 @@ from .core import (
     ImageObject,
     MatchOutcome,
     Vocabulary,
+    _readonly,
+    _segment_sums,
+    _sum,
     _word_id,
     check_threshold,
     image_similarity,
@@ -38,7 +45,11 @@ from .core import (
 from .errors import DomainError, PreconditionError, UnknownWordError
 from .matching import _pair_scores
 
+if TYPE_CHECKING:
+    from .io import Dataset
+
 __all__ = [
+    "Corpus",
     "HuffmanNode",
     "PsimIndex",
     "build_huffman_tree",
@@ -48,6 +59,7 @@ __all__ = [
     "huffman_search",
     "psmi_match",
     "psmi_similarity",
+    "search",
 ]
 
 # Candidate margin for the all-pairs matrix product; candidates are then
@@ -219,6 +231,32 @@ def huffman_search(idx: PsimIndex, word_id: int) -> tuple[np.ndarray, np.ndarray
     return idx.csr_ids[lo:hi], idx.csr_sims[lo:hi]
 
 
+_UNBACKED = "offline-index matching requires vocabulary-backed images"
+
+
+def _check_index(idx: PsimIndex, mu0_query: float, max_word_id: int, checksums) -> None:
+    """Refuse a query the index cannot answer exactly, in one order for every caller."""
+    if mu0_query < idx.mu0_build:
+        raise PreconditionError(
+            f"query threshold {mu0_query} is below the index build threshold {idx.mu0_build}")
+    if max_word_id >= idx.size:
+        raise PreconditionError("image carries word ids outside the indexed vocabulary")
+    if any(checksum != idx.vocab_checksum for checksum in checksums):
+        raise PreconditionError("image vocabulary differs from the one the index was built for")
+
+
+def _segments(offsets: np.ndarray, keys: np.ndarray):
+    """The positions ``offsets[k]:offsets[k+1]`` of every key, back to back.
+
+    Returns them with each segment's length and its start in the result.
+    """
+    starts = offsets[keys]
+    lengths = offsets[keys + 1] - starts
+    seg_offsets = np.cumsum(lengths) - lengths
+    flat = np.repeat(starts - seg_offsets, lengths) + np.arange(int(lengths.sum()))
+    return flat, lengths, seg_offsets
+
+
 def psmi_match(a: ImageObject, b: ImageObject, mu0_query: float, idx: PsimIndex) -> MatchOutcome:
     """Match using only precomputed lists and id membership on B.
 
@@ -229,31 +267,21 @@ def psmi_match(a: ImageObject, b: ImageObject, mu0_query: float, idx: PsimIndex)
     """
     mu0_query = check_threshold(mu0_query)
     if a.vocab is None or b.vocab is None:
-        raise PreconditionError("offline-index matching requires vocabulary-backed images")
-    if mu0_query < idx.mu0_build:
-        raise PreconditionError(
-            f"query threshold {mu0_query} is below the index build threshold {idx.mu0_build}")
-    k = idx.size
+        raise PreconditionError(_UNBACKED)
     a_ids = a.word_ids
     b_ids = b.word_ids
-    if int(a_ids.max()) >= k or int(b_ids.max()) >= k:
-        raise PreconditionError("image carries word ids outside the indexed vocabulary")
-    for img in (a, b):
-        if img.vocab.checksum != idx.vocab_checksum:
-            raise PreconditionError("image vocabulary differs from the one the index was built for")
+    _check_index(idx, mu0_query, max(int(a_ids.max()), int(b_ids.max())),
+                 (a.vocab.checksum, b.vocab.checksum))
 
     n = b.word_count
     # Smallest B position per word id; n doubles as the "absent" sentinel.
-    first_pos = np.full(k, n, dtype=np.int64)
+    first_pos = np.full(idx.size, n, dtype=np.int64)
     np.minimum.at(first_pos, b_ids, np.arange(n, dtype=np.int64))
 
     # One segment of candidates per query word (never empty: every list
     # holds its self entry). A candidate at or below the threshold, or
     # absent from B, scores 0 and never wins.
-    starts = idx.csr_offsets[a_ids]
-    lengths = idx.csr_offsets[a_ids + 1] - starts
-    seg_offsets = np.cumsum(lengths) - lengths
-    flat = np.repeat(starts - seg_offsets, lengths) + np.arange(int(lengths.sum()))
+    flat, lengths, seg_offsets = _segments(idx.csr_offsets, a_ids)
     cand_pos = first_pos[idx.csr_ids[flat]]
     cand_sims = idx.csr_sims[flat]
     cand_sims[(cand_sims <= mu0_query) | (cand_pos == n)] = 0.0
@@ -267,3 +295,113 @@ def psmi_match(a: ImageObject, b: ImageObject, mu0_query: float, idx: PsimIndex)
 
 def psmi_similarity(a: ImageObject, b: ImageObject, mu0: float, idx: PsimIndex) -> float:
     return image_similarity(a, b, psmi_match(a, b, mu0, idx))
+
+
+@dataclass(frozen=True, eq=False)
+class Corpus:
+    """Vocabulary-backed images stored back to back, for :func:`search`.
+
+    Image ``i`` owns positions ``offsets[i]:offsets[i+1]`` of ``word_ids``
+    and ``weights``; ``owners`` maps each position back to its image and
+    ``totals`` holds each image's weight sum. ``postings`` lists every
+    position sorted by (word, image, position): word ``w``'s postings are
+    ``postings[word_offsets[w]:word_offsets[w+1]]``. Build it once per
+    dataset with :meth:`from_dataset`.
+    """
+
+    vocab_checksum: int
+    word_ids: np.ndarray
+    weights: np.ndarray
+    offsets: np.ndarray
+    owners: np.ndarray
+    totals: np.ndarray
+    postings: np.ndarray
+    word_offsets: np.ndarray
+
+    @classmethod
+    def from_dataset(cls, dataset: "Dataset") -> "Corpus":
+        """Concatenate the dataset's images, which must share one vocabulary."""
+        images = dataset.images
+        if not images:
+            raise DomainError("a corpus needs at least one image")
+        if any(img.vocab is None for img in images):
+            raise PreconditionError(_UNBACKED)
+        if len({img.vocab.checksum for img in images}) != 1:
+            raise PreconditionError("corpus images come from different vocabularies")
+        vocab = images[0].vocab
+        lengths = np.array([img.word_count for img in images], dtype=np.int64)
+        weights = np.concatenate([img.weights for img in images])
+        word_ids = np.concatenate([img.word_ids for img in images])
+        arrays = dict(
+            word_ids=word_ids,
+            weights=weights,
+            offsets=np.concatenate(([0], np.cumsum(lengths))),
+            owners=np.repeat(np.arange(lengths.size), lengths),
+            totals=_segment_sums(weights, lengths),
+            postings=np.argsort(word_ids, kind="stable"),
+            word_offsets=np.concatenate(
+                ([0], np.cumsum(np.bincount(word_ids, minlength=vocab.size)))),
+        )
+        return cls(vocab_checksum=vocab.checksum,
+                   **{name: _readonly(arr) for name, arr in arrays.items()})
+
+    @property
+    def size(self) -> int:
+        return self.totals.size
+
+
+def search(query: ImageObject, corpus: Corpus, mu0: float, idx: PsimIndex) -> np.ndarray:
+    """``psmi_similarity(query, b, mu0, idx)`` for every corpus image ``b``, in one pass.
+
+    Returns one score per image, in corpus order, bit-identical to the
+    per-pair call. Each query word's list entries above ``mu0`` fan out to
+    their postings; per (image, query word) the maximum similarity wins,
+    ties to the smallest B position, and the score's sums are segment sums
+    over the images. Refuses what :func:`psmi_match` refuses.
+    """
+    mu0 = check_threshold(mu0)
+    if query.vocab is None:
+        raise PreconditionError(_UNBACKED)
+    a_ids = query.word_ids
+    _check_index(idx, mu0, max(int(a_ids.max()), int(corpus.word_ids.max())),
+                 (query.vocab.checksum, corpus.vocab_checksum))
+    m = a_ids.size
+
+    # The query's list entries above the threshold, each with its query word.
+    flat, lengths, _ = _segments(idx.csr_offsets, a_ids)
+    keep = idx.csr_sims[flat] > mu0
+    flat = flat[keep]
+    entry_word = np.repeat(np.arange(m), lengths)[keep]
+
+    # Every corpus position holding an entry's word is a candidate partner.
+    post, post_lengths, _ = _segments(corpus.word_offsets, idx.csr_ids[flat])
+    cand_pos = corpus.postings[post]
+    cand_word = np.repeat(entry_word, post_lengths)
+    cand_sims = np.repeat(idx.csr_sims[flat], post_lengths)
+    cand_image = corpus.owners[cand_pos]
+
+    # Per (image, query word): the maximum, then the smallest B position.
+    # Winners come out in (image, query word) order, the per-pair sum order.
+    order = np.lexsort((cand_pos, -cand_sims, cand_word, cand_image))
+    group = (cand_image * m + cand_word)[order]
+    win = order[np.flatnonzero(np.diff(group, prepend=-1))]
+    image, word, pos, lam = cand_image[win], cand_word[win], cand_pos[win], cand_sims[win]
+
+    aw = query.weights
+    wa = aw[word]
+    wb = corpus.weights[pos]
+    pair_counts = np.bincount(image, minlength=corpus.size)
+    numerator = _segment_sums(lam * wa * wb, pair_counts)
+    squared = _segment_sums(lam * lam * wa * wb, pair_counts)
+
+    matched = np.zeros((corpus.size, m), dtype=bool)
+    matched[image, word] = True
+    unmatched_a = _segment_sums(np.broadcast_to(aw, matched.shape)[~matched], m - pair_counts)
+    covered = np.zeros(corpus.word_ids.size, dtype=bool)
+    covered[pos] = True
+    unmatched_b = _segment_sums(corpus.weights[~covered],
+                                np.bincount(corpus.owners[~covered], minlength=corpus.size))
+
+    mass = np.sqrt(_sum(aw) * corpus.totals)
+    penalty = np.sqrt(squared + unmatched_a * unmatched_b)
+    return np.divide(numerator, mass * penalty, out=np.zeros(corpus.size), where=pair_counts > 0)

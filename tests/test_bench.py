@@ -1,6 +1,20 @@
+import dataclasses
+
+import numpy as np
 import pytest
 
-from vwsim import BenchConfig, Dataset, DomainError, GeneratorConfig, HitRateConfig, generate_synthetic
+from conftest import random_vocab
+
+from vwsim import (
+    BenchConfig,
+    Dataset,
+    DomainError,
+    GeneratorConfig,
+    HitRateConfig,
+    ImageObject,
+    generate_synthetic,
+)
+from vwsim import bench, psmi
 from vwsim.bench import BENCH_COLUMNS, HITRATE_COLUMNS, run_bench, run_hitrate
 from vwsim.io import save_images, save_truth, save_vocabulary
 
@@ -105,3 +119,37 @@ class TestRunHitrate:
         cfg = HitRateConfig(data_dir=str(tmp_path), query_count=500, rho_grid=(0.0,))
         with pytest.raises(DomainError):
             run_hitrate(cfg)
+
+    def test_psmi_scores_each_query_in_one_search(self, tmp_path, monkeypatch):
+        write_benchmark(tmp_path)
+        cfg = HitRateConfig(data_dir=str(tmp_path), query_count=6, rho_grid=(0.0, 0.4, 1.0),
+                            top_k=1, mu0=0.7, seed=11, algorithm="psmi")
+        smin_rows = run_hitrate(dataclasses.replace(cfg, algorithm="smin"))
+
+        def per_image(*args):
+            raise AssertionError("the psmi path made a per-image call")
+
+        searches = []
+        monkeypatch.setitem(bench.SCORERS, "psmi", per_image)
+        monkeypatch.setattr(psmi, "psmi_match", per_image)
+        monkeypatch.setattr(bench, "search", lambda *args: searches.append(1) or psmi.search(*args))
+        rows = run_hitrate(cfg)
+        assert len(searches) == cfg.query_count * len(cfg.rho_grid)
+        assert [{**row, "algo": "smin"} for row in rows] == smin_rows
+
+    @pytest.mark.parametrize("algorithm", ["psmi", "smin"])
+    def test_ties_rank_by_image_id(self, tmp_path, algorithm):
+        # "a1" and "z1" are exact copies of the source "s1": every query scores
+        # them equal to it, and the smaller image id ranks first.
+        vocab = random_vocab(np.random.RandomState(173), 16, 4)
+        twin = dict(weights=np.array([1.0, 0.5, 0.3]), word_ids=[0, 1, 2], vocab=vocab)
+        images = [ImageObject("s1", **twin), ImageObject("m2", np.ones(2), word_ids=[5, 6], vocab=vocab),
+                  ImageObject("z1", **twin), ImageObject("a1", **twin)]
+        save_vocabulary(vocab, tmp_path / "vocabulary.jsonl")
+        save_images(Dataset(images=images, vocab=vocab), tmp_path / "images.jsonl")
+        save_truth({"dup": "s1"}, tmp_path / "truth.json")
+        rates = [run_hitrate(HitRateConfig(data_dir=str(tmp_path), query_count=1, rho_grid=(0.0,),
+                                           top_k=top_k, mu0=0.7, seed=1,
+                                           algorithm=algorithm))[0]["hit_rate"]
+                 for top_k in (1, 2, 3)]
+        assert rates == [0.0, 1.0, 1.0]

@@ -314,6 +314,27 @@ class TestTypes:
         with pytest.raises(ValueError):
             tiny_vocab.vectors[0, 0] = 2.0
 
+    def test_constructors_leave_the_callers_arrays_writeable(self, tiny_vocab):
+        w, e = np.ones(2), np.eye(2)
+        ids, counts = np.array([0, 2]), np.array([1, 3])
+        raw = ImageObject("x", w, vectors=e, counts=counts)
+        coded = ImageObject("y", w, word_ids=ids, vocab=tiny_vocab)
+        vectors, freqs = tiny_vocab.vectors.copy(), tiny_vocab.frequencies.copy()
+        vocab = Vocabulary(vectors=vectors, frequencies=freqs)
+        mu, partners = np.array([0.5, 0.0]), np.array([1, -1])
+        match = MatchOutcome(mu, partners)
+        view = np.ones(3)[1:]
+        from_view = ImageObject("z", view, vectors=np.eye(2))
+        for arr in (w, e, ids, counts, vectors, freqs, mu, partners, view):
+            assert arr.flags.writeable
+            arr[...] = 0
+        assert raw.weights.tolist() == [1.0, 1.0] and raw.vectors.tolist() == [[1, 0], [0, 1]]
+        assert raw.counts.tolist() == [1, 3] and coded.word_ids.tolist() == [0, 2]
+        assert np.array_equal(vocab.vectors, tiny_vocab.vectors)
+        assert np.array_equal(vocab.frequencies, tiny_vocab.frequencies)
+        assert match.mu.tolist() == [0.5, 0.0] and match.partners.tolist() == [1, -1]
+        assert from_view.weights.tolist() == [1.0, 1.0]
+
     def test_vocab_checksum_distinguishes_vocabularies(self):
         rng = np.random.RandomState(7)
         v1 = random_vocab(rng, 8, 4)

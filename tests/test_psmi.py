@@ -7,6 +7,8 @@ from conftest import random_vocab, random_vocab_image
 from oracles import brute_force_top1, huffman_cost_reference
 
 from vwsim import (
+    Corpus,
+    Dataset,
     DomainError,
     ImageObject,
     PreconditionError,
@@ -19,6 +21,7 @@ from vwsim import (
     psmi_match,
     psmi_similarity,
     save_psmi,
+    search,
     smii_match,
     smii_similarity,
     smin_match,
@@ -40,6 +43,22 @@ def vocab_image(vocab, ids, weights=None, name="img"):
 def entry_pairs(idx, word_id):
     ids, sims = huffman_search(idx, word_id)
     return list(zip(ids.tolist(), sims.tolist()))
+
+
+def grid_vocab():
+    """Directions on a small integer grid: similarities tie often and exactly."""
+    grid = [p for p in itertools.product(range(-2, 3), repeat=3) if any(p)]
+    return Vocabulary(vectors=unit_rows(np.array(grid, dtype=float)),
+                      frequencies=np.ones(len(grid), dtype=np.int64))
+
+
+def assert_search_is_per_pair(query, images, mu0, idx):
+    """search over the images equals psmi_similarity per image, bit for bit."""
+    corpus = Corpus.from_dataset(Dataset(images=images))
+    scores = search(query, corpus, mu0, idx)
+    want = np.array([psmi_similarity(query, b, mu0, idx) for b in images])
+    assert scores.dtype == np.float64 and scores.tobytes() == want.tobytes()
+    return scores
 
 
 class TestBuild:
@@ -158,6 +177,9 @@ class TestHuffman:
 
 
 class TestSearch:
+    """``huffman_search`` reads one word's list; ``search`` scores one query
+    against a whole corpus through those lists."""
+
     def test_lookup_round_trip(self, tiny_vocab):
         idx = build_psmi_index(tiny_vocab, 0.7)
         ids, _ = huffman_search(idx, 2)
@@ -190,6 +212,125 @@ class TestSearch:
         for wid, (ids, sims) in enumerate(idx.lists):
             want_ids, want_sims = huffman_search(idx, wid)
             assert np.array_equal(ids, want_ids) and np.array_equal(sims, want_sims)
+
+    # search: one query against a whole corpus, equal to the per-pair score.
+
+    def test_search_seeded_gaussian_corpus(self):
+        rng = np.random.RandomState(139)
+        for k, d, mu0_build, mu0 in ((64, 4, 0.5, 0.5), (256, 8, 0.3, 0.6), (128, 16, 0.0, 0.0)):
+            vocab = random_vocab(rng, k, d)
+            idx = build_psmi_index(vocab, mu0_build)
+            images = [random_vocab_image(rng, vocab, rng.randint(1, 30), f"b{i}")
+                      for i in range(60)]
+            for _ in range(5):
+                query = random_vocab_image(rng, vocab, rng.randint(1, 20), "q")
+                assert_search_is_per_pair(query, images, mu0, idx)
+
+    @pytest.mark.parametrize("mu0_build,mu0", [(0.0, 0.0), (0.3, 0.3), (0.3, 0.6), (0.6, 0.9)])
+    def test_search_tied_grid_vocabulary(self, mu0_build, mu0):
+        vocab = grid_vocab()
+        idx = build_psmi_index(vocab, mu0_build)
+        rng = np.random.RandomState(149)
+        images = [random_vocab_image(rng, vocab, rng.randint(1, 16), f"b{i}") for i in range(150)]
+        for _ in range(6):
+            assert_search_is_per_pair(random_vocab_image(rng, vocab, rng.randint(1, 10), "q"),
+                                      images, mu0, idx)
+
+    def test_search_repeated_words(self):
+        # Ids from a narrow range repeat within an image, on both sides; each
+        # query word still takes the smallest B position of its best word.
+        vocab = grid_vocab()
+        idx = build_psmi_index(vocab, 0.3)
+        rng = np.random.RandomState(151)
+        images = []
+        for i in range(40):
+            n = rng.randint(2, 12)
+            images.append(vocab_image(vocab, rng.randint(0, 6, size=n),
+                                      rng.uniform(0.1, 1.0, size=n), f"b{i}"))
+        query = vocab_image(vocab, [3, 1, 3, 5, 1, 0], [1.0, 0.4, 0.9, 0.2, 0.7, 0.5], "q")
+        scores = assert_search_is_per_pair(query, images, 0.3, idx)
+        assert np.count_nonzero(scores) > 30
+        assert max(len(set(b.word_ids.tolist())) < b.word_count for b in images)
+
+    def test_search_images_without_a_pair_score_zero(self, tiny_vocab):
+        idx = build_psmi_index(tiny_vocab, 0.7)
+        # Word 2 is orthogonal to word 0 and below 0.7 against word 1.
+        images = [vocab_image(tiny_vocab, [2], name="b0"), vocab_image(tiny_vocab, [0], name="b1"),
+                  vocab_image(tiny_vocab, [2, 2], name="b2")]
+        query = vocab_image(tiny_vocab, [0, 1], [1.0, 0.5], "q")
+        scores = assert_search_is_per_pair(query, images, 0.7, idx)
+        assert scores[0] == scores[2] == 0.0 and scores[1] > 0.0
+        # No candidate at all: every image scores 0.
+        only_two = vocab_image(tiny_vocab, [2], name="q2")
+        assert assert_search_is_per_pair(only_two, images[1:2], 0.7, idx).tolist() == [0.0]
+
+    def test_search_last_images_fully_matched(self):
+        # The last images' unmatched-B (and unmatched-A) segments are empty:
+        # a reduceat over clamped offsets would fold the previous image's
+        # last weight into them.
+        rng = np.random.RandomState(157)
+        vocab = random_vocab(rng, 64, 3)
+        idx = build_psmi_index(vocab, 0.6)
+        query = vocab_image(vocab, rng.permutation(vocab.size)[:10],
+                            rng.uniform(0.1, 1.0, size=10), "q")
+        images = [random_vocab_image(rng, vocab, rng.randint(3, 12), f"b{i}") for i in range(20)]
+        for i in range(3):
+            ids = rng.permutation(query.word_ids)[:10 - i]
+            images.append(vocab_image(vocab, ids, rng.uniform(0.1, 1.0, size=ids.size), f"full{i}"))
+        for b in images[-3:]:
+            assert psmi_match(query, b, 0.6, idx).matched_b_ids == set(range(b.word_count))
+        assert_search_is_per_pair(query, images, 0.6, idx)
+
+    def test_search_long_matched_images(self):
+        # Pairs of 8 and more words: here np.sum and reduceat round differently,
+        # so the per-pair score and the batched one must share one summation rule.
+        rng = np.random.RandomState(163)
+        vocab = random_vocab(rng, 96, 6)
+        idx = build_psmi_index(vocab, 0.4)
+        query = random_vocab_image(rng, vocab, 60, "q")
+        images = []
+        for i in range(30):
+            ids = np.concatenate([rng.choice(query.word_ids, size=20 + i),
+                                  rng.randint(0, vocab.size, size=10)])
+            images.append(vocab_image(vocab, ids, rng.uniform(0.05, 1.0, size=ids.size), f"b{i}"))
+        matched = [psmi_match(query, b, 0.4, idx).pair_count for b in images]
+        assert min(matched) >= 8
+        assert_search_is_per_pair(query, images, 0.4, idx)
+
+    def test_search_returns_dataset_order(self, tiny_vocab):
+        idx = build_psmi_index(tiny_vocab, 0.7)
+        images = [vocab_image(tiny_vocab, ids, name=f"b{i}")
+                  for i, ids in enumerate(([0], [2], [1, 2], [0, 0, 1]))]
+        query = vocab_image(tiny_vocab, [0, 2], [1.0, 0.5], "q")
+        forward = assert_search_is_per_pair(query, images, 0.7, idx)
+        backward = assert_search_is_per_pair(query, images[::-1], 0.7, idx)
+        assert forward.tolist() == backward[::-1].tolist()
+
+
+class TestCorpus:
+    def test_layout(self, tiny_vocab):
+        images = [vocab_image(tiny_vocab, [2, 0], [1.0, 0.5], "b0"),
+                  vocab_image(tiny_vocab, [0], name="b1"),
+                  vocab_image(tiny_vocab, [1, 0, 2], [0.25, 1.0, 0.5], "b2")]
+        corpus = Corpus.from_dataset(Dataset(images=images))
+        assert corpus.size == 3
+        assert corpus.offsets.tolist() == [0, 2, 3, 6]
+        assert corpus.owners.tolist() == [0, 0, 1, 2, 2, 2]
+        assert corpus.totals.tolist() == [1.5, 1.0, 1.75]
+        assert corpus.word_offsets.tolist() == [0, 3, 4, 6]
+        # Word 0 at positions 1, 2, 4; word 1 at 3; word 2 at 0, 5.
+        assert corpus.postings.tolist() == [1, 2, 4, 3, 0, 5]
+        assert corpus.vocab_checksum == tiny_vocab.checksum
+        for arr in (corpus.word_ids, corpus.weights, corpus.postings, corpus.totals):
+            assert not arr.flags.writeable
+
+    def test_refuses_mixed_vocabularies_and_empty_datasets(self, tiny_vocab):
+        other = random_vocab(np.random.RandomState(167), tiny_vocab.size, 2)
+        with pytest.raises(PreconditionError, match="different vocabularies"):
+            Corpus.from_dataset(Dataset(images=[vocab_image(tiny_vocab, [0], name="a"),
+                                                vocab_image(other, [0], name="b")]))
+        with pytest.raises(DomainError):
+            Corpus.from_dataset(Dataset(images=()))
 
 
 class TestPsmiMatch:
@@ -303,10 +444,7 @@ class TestTiesOnTheMaximum:
                                      vocab_image(vocab, b_ids, name="b"), mu0, idx)
 
     def test_small_integer_grid_sweep(self):
-        # Directions on a small integer grid tie often and exactly.
-        grid = [p for p in itertools.product(range(-2, 3), repeat=3) if any(p)]
-        vocab = Vocabulary(vectors=unit_rows(np.array(grid, dtype=float)),
-                           frequencies=np.ones(len(grid), dtype=np.int64))
+        vocab = grid_vocab()
         idx = build_psmi_index(vocab, 0.0)
         rng = np.random.RandomState(137)
         ties = 0
@@ -357,6 +495,28 @@ class TestPsmiPreconditions:
         for a, b in ((foreign, own), (own, foreign), (foreign, foreign), (loose, loose)):
             with pytest.raises(PreconditionError):
                 psmi_match(a, b, 0.7, idx)
+
+    def test_search_refuses_what_psmi_match_refuses(self, tiny_vocab):
+        idx = build_psmi_index(tiny_vocab, 0.7)
+        own = vocab_image(tiny_vocab, [0, 1], name="own")
+        foreign = vocab_image(random_vocab(np.random.RandomState(131), tiny_vocab.size, 2),
+                              [0, 1], name="foreign")
+        wide = vocab_image(random_vocab(np.random.RandomState(127), 10, 2), [7], name="wide")
+        raw = ImageObject(image_id="raw", weights=np.array([1.0]), vectors=np.array([[1.0, 0.0]]))
+        cases = [(foreign, own, 0.7), (own, foreign, 0.7), (own, own, 0.5),
+                 (wide, own, 0.7), (own, wide, 0.7), (raw, own, 0.7)]
+        for a, b, mu0 in cases:
+            with pytest.raises(PreconditionError) as per_pair:
+                psmi_match(a, b, mu0, idx)
+            with pytest.raises(PreconditionError) as batched:
+                search(a, Corpus.from_dataset(Dataset(images=[b])), mu0, idx)
+            assert str(batched.value) == str(per_pair.value)
+        # A raw corpus image is refused when the corpus is built.
+        with pytest.raises(PreconditionError) as per_pair:
+            psmi_match(own, raw, 0.7, idx)
+        with pytest.raises(PreconditionError) as batched:
+            Corpus.from_dataset(Dataset(images=[own, raw]))
+        assert str(batched.value) == str(per_pair.value)
 
     def test_empty_image_rejected(self, tiny_vocab):
         # An image has at least one word; the constructor refuses an empty one.
