@@ -42,33 +42,42 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _private(arr: np.ndarray, source) -> np.ndarray:
-    """*arr* coerced from *source*, copied unless it owns a buffer of its own.
-
-    ``np.ascontiguousarray`` hands back the caller's array (or a view of it)
-    when no conversion is needed; freezing that would freeze the caller's.
-    """
-    return arr.copy() if arr is source or not arr.flags.owndata else arr
+# Per column dtype: the rule's wording, the array kinds taken as is, the element types allowed.
+_ELEMENTS = {
+    np.int64: ("integers, not float, bool or string values", "i", (int, np.integer)),
+    np.float64: ("numbers, not bool or string values", "iuf", (int, float, np.integer, np.floating)),
+}
 
 
 def _column(values, dtype, what: str) -> np.ndarray:
-    """Coerce *values* to a contiguous array of its own, failing as a :class:`DomainError`.
+    """*values* as a fresh, read-only, C-contiguous array, failing as a :class:`DomainError`.
 
-    An integer column refuses float (``1.0`` too), bool and string values,
-    and values past its range, rather than truncate, parse or wrap them.
+    This is the one way an array enters a vwsim type. The copy is the type's
+    own, so freezing it never freezes the caller's array. An integer column
+    refuses float (``1.0`` too), bool and string values, and values past its
+    range; a float column refuses bool and string values. Neither truncates,
+    parses or wraps a value, and the error names the first one refused. A
+    flat list of plain ints (and floats) is taken without an object copy.
     """
-    if dtype is np.int64 and not (isinstance(values, np.ndarray) and values.dtype.kind == "i"):
-        # As Python objects, elements keep their own types (numpy infers float
-        # for ints that fit no one integer dtype) and refuse to wrap past int64.
-        values = np.array(values, dtype=object)
-        if not all(issubclass(t, (int, np.integer)) and t is not bool for t in set(map(type, values.flat))):
-            raise DomainError(f"{what} must be integers, not float, bool or string values")
+    noun, kinds, allowed = _ELEMENTS[dtype]
+    refused = ()
     try:
-        return _private(np.ascontiguousarray(values, dtype=dtype), values)
+        plain = isinstance(values, (list, tuple)) and set(map(type, values)).issubset(allowed)
+        if not (plain or isinstance(values, np.ndarray) and values.dtype.kind in kinds):
+            # As Python objects, elements keep their own types (not float for ints past
+            # int64) and refuse to wrap; a ragged input's lists fail as not rectangular.
+            values = np.array(values, dtype=object, ndmin=1)
+            refused = {t for t in set(map(type, values.flat))
+                       if t is bool or not issubclass(t, (*allowed, list, tuple, np.ndarray))}
+        if not refused:
+            return _readonly(np.array(values, dtype=dtype, order="C", ndmin=1))
     except OverflowError as exc:
         raise DomainError(f"{what} must fit in {np.dtype(dtype).name}") from exc
     except (TypeError, ValueError) as exc:
         raise DomainError(f"{what} must be a rectangular numeric array") from exc
+    i = next(i for i, v in enumerate(values.flat) if type(v) in refused)
+    at = ", ".join(map(str, np.unravel_index(i, values.shape)))
+    raise DomainError(f"{what} must be {noun}; {what}[{at}] is {values.flat[i]!r}")
 
 
 def _word_id(value) -> int:
@@ -90,14 +99,11 @@ def _squared_norms(matrix: np.ndarray, what: str) -> np.ndarray:
 
 def as_vector(values) -> np.ndarray:
     """Coerce *values* to a read-only 1-D float64 vector that can be normalized."""
-    try:
-        vec = np.array(values, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise DomainError(f"not a numeric vector: {exc}") from exc
-    if vec.ndim != 1 or vec.size < 1:
-        raise DomainError(f"feature vector must be 1-D and non-empty, got shape {vec.shape}")
+    vec = _column(values, np.float64, "feature vector")
+    if np.ndim(values) != 1 or vec.size < 1:
+        raise DomainError(f"feature vector must be 1-D and non-empty, got shape {np.shape(values)}")
     _squared_norms(vec[None], "input")
-    return _readonly(vec)
+    return vec
 
 
 def unit_rows(matrix: np.ndarray) -> np.ndarray:
@@ -117,8 +123,7 @@ def unit_rows(matrix: np.ndarray) -> np.ndarray:
 
 def unit_vector(vec: np.ndarray) -> np.ndarray:
     """Unit-normalize a single vector through the shared row path."""
-    vec = np.asarray(vec, dtype=np.float64)
-    return unit_rows(vec[None, :])[0]
+    return unit_rows(np.asarray(vec, dtype=np.float64)[None, :])[0]
 
 
 def check_threshold(mu0: float) -> float:
@@ -153,7 +158,7 @@ class VisualWord:
 
     def __post_init__(self):
         object.__setattr__(self, "vector", as_vector(self.vector))
-        w = float(self.weight)
+        w = float(_column(np.reshape(self.weight, 1), np.float64, "word weight")[0])
         if not (0.0 < w <= 1.0) or math.isnan(w):
             raise DomainError(f"word weight must be in (0, 1], got {w!r}")
         object.__setattr__(self, "weight", w)
@@ -192,8 +197,8 @@ class Vocabulary:
         negative = freqs < 0
         if negative.any():
             raise DomainError(f"vocabulary word {int(negative.argmax())} has a negative frequency")
-        object.__setattr__(self, "vectors", _readonly(vecs))
-        object.__setattr__(self, "frequencies", _readonly(freqs))
+        object.__setattr__(self, "vectors", vecs)
+        object.__setattr__(self, "frequencies", freqs)
 
     @property
     def size(self) -> int:
@@ -262,7 +267,7 @@ class ImageObject:
             raise DomainError(f"image {self.image_id!r} has no words")
         if not np.all(np.isfinite(weights)) or np.any(weights <= 0.0) or np.any(weights > 1.0):
             raise DomainError(f"image {self.image_id!r}: weights must be in (0, 1]")
-        object.__setattr__(self, "weights", _readonly(weights))
+        object.__setattr__(self, "weights", weights)
 
         ids = self.word_ids
         if ids is not None:
@@ -271,7 +276,7 @@ class ImageObject:
                 raise ContractError("word_ids must align with weights")
             if np.any(ids < 0):
                 raise DomainError("word ids must be non-negative")
-            object.__setattr__(self, "word_ids", _readonly(ids))
+            object.__setattr__(self, "word_ids", ids)
 
         if self.vectors is not None:
             if self.vocab is not None:
@@ -280,7 +285,7 @@ class ImageObject:
             if vecs.ndim != 2 or vecs.shape[0] != m:
                 raise ContractError("vectors must be an (m, d) matrix aligned with weights")
             _squared_norms(vecs, f"image {self.image_id!r}")
-            object.__setattr__(self, "vectors", _readonly(vecs))
+            object.__setattr__(self, "vectors", vecs)
         else:
             if self.vocab is None:
                 raise ContractError("image needs explicit vectors or a vocabulary to resolve ids")
@@ -295,7 +300,7 @@ class ImageObject:
                 raise ContractError("counts must align with weights")
             if np.any(counts < 1):
                 raise DomainError("occurrence counts must be >= 1")
-            object.__setattr__(self, "counts", _readonly(counts))
+            object.__setattr__(self, "counts", counts)
 
     @classmethod
     def from_words(cls, image_id: str, words: Sequence[VisualWord],
@@ -340,9 +345,8 @@ class ImageObject:
         )
 
     def with_weights(self, weights: np.ndarray) -> "ImageObject":
-        return ImageObject(image_id=self.image_id, weights=np.asarray(weights, dtype=np.float64),
-                           word_ids=self.word_ids, vectors=self.vectors, vocab=self.vocab,
-                           counts=self.counts)
+        return ImageObject(image_id=self.image_id, weights=weights, word_ids=self.word_ids,
+                           vectors=self.vectors, vocab=self.vocab, counts=self.counts)
 
 
 @dataclass(frozen=True, eq=False)
@@ -364,8 +368,9 @@ class MatchOutcome:
     partners: np.ndarray
 
     def __post_init__(self):
-        mu = _private(np.ascontiguousarray(self.mu, dtype=np.float64), self.mu)
-        partners = _private(np.ascontiguousarray(self.partners, dtype=np.int64), self.partners)
+        object.__setattr__(self, "mu", _column(self.mu, np.float64, "mu"))
+        object.__setattr__(self, "partners", _column(self.partners, np.int64, "partners"))
+        mu, partners = self.mu, self.partners
         if mu.shape != partners.shape or mu.ndim != 1:
             raise ContractError("mu and partners must be aligned 1-D arrays")
         if not ((mu >= 0.0) & (mu <= 1.0)).all():
@@ -374,8 +379,6 @@ class MatchOutcome:
             raise ContractError("a partner is a B position, or -1 for none")
         if not ((mu > 0.0) == (partners >= 0)).all():
             raise ContractError("a word has a partner exactly when its mu is > 0")
-        object.__setattr__(self, "mu", _readonly(mu))
-        object.__setattr__(self, "partners", _readonly(partners))
 
     @classmethod
     def from_arrays(cls, mu: np.ndarray, partners: np.ndarray) -> "MatchOutcome":

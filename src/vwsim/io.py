@@ -3,9 +3,9 @@
 Text formats are JSON-lines: one vocabulary entry or one image per line,
 named fields, floats written as shortest round-trip decimals. The offline
 index uses a fixed little-endian binary layout. All save/load pairs are
-exact inverses. The text loaders parse JSON into columns and leave every
-value rule to the :class:`Vocabulary` / :class:`ImageObject` constructors;
-every loader error is a :class:`ValidationError` (or the
+exact inverses. The text loaders hand the parsed JSON values, unconverted,
+to the :class:`Vocabulary` / :class:`ImageObject` constructors, which apply
+every value rule; every loader error is a :class:`ValidationError` (or the
 :class:`FormatError` / :class:`CompatibilityError` subclasses) naming the
 file, and the line for a problem in one image record.
 
@@ -81,7 +81,7 @@ def _json_int(value) -> int:
 
 def load_vocabulary(path) -> Vocabulary:
     text = Path(path).read_text(encoding="utf-8")
-    entries: dict[int, tuple[int, list[float]]] = {}
+    entries: dict[int, tuple[int, list]] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
@@ -89,7 +89,7 @@ def load_vocabulary(path) -> Vocabulary:
             rec = json.loads(line)
             wid = _json_int(rec["word_id"])
             freq = _json_int(rec["frequency"])
-            vec = [float(c) for c in rec["vector"]]
+            vec = rec["vector"]
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"{path}: line {lineno}: malformed vocabulary entry ({exc})") from exc
         if wid in entries:
@@ -141,15 +141,16 @@ def _parse_image(rec: dict, vocab: Optional[Vocabulary], where: str) -> ImageObj
         raise ValidationError(f"{where}: image {image_id!r}: words need a weight or a count")
 
     counts = [_json_int(w["count"]) for w in words] if "count" in words[0] else None
-    weights = ([float(w["weight"]) for w in words] if "weight" in words[0]
-               else normalize_weights(counts))
+    weights = [w["weight"] for w in words] if "weight" in words[0] else normalize_weights(counts)
     if "word_id" in words[0]:
+        if any("vector" in w for w in words):
+            raise ValidationError(f"{where}: image {image_id!r}: a word has both a word_id and a vector")
         if vocab is None:
             raise ValidationError(f"{where}: image {image_id!r} uses word ids but no vocabulary was given")
         return ImageObject(image_id=image_id, weights=weights, counts=counts,
                            word_ids=[_json_int(w["word_id"]) for w in words], vocab=vocab)
     return ImageObject(image_id=image_id, weights=weights, counts=counts,
-                       vectors=[[float(c) for c in w["vector"]] for w in words])
+                       vectors=[w["vector"] for w in words])
 
 
 def load_images(path, vocab: Optional[Vocabulary] = None) -> Dataset:
@@ -295,5 +296,5 @@ def load_psmi(path, vocab: Optional[Vocabulary] = None) -> PsimIndex:
     if vocab is not None and vocab.checksum != checksum:
         raise CompatibilityError(
             f"{where}: index was built for a different vocabulary (checksum mismatch)")
-    return PsimIndex.from_lists(frequencies=freqs, offsets=offsets, ids=ids, sims=sims,
-                                mu0_build=mu0_build, vocab_checksum=checksum, dimension=dim)
+    return PsimIndex(mu0_build=mu0_build, vocab_checksum=checksum, dimension=dim,
+                     frequencies=freqs.astype(np.int64), csr_offsets=offsets, csr_ids=ids, csr_sims=sims)

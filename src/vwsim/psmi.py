@@ -35,6 +35,7 @@ from .core import (
     ImageObject,
     MatchOutcome,
     Vocabulary,
+    _column,
     _readonly,
     _segment_sums,
     _sum,
@@ -140,7 +141,8 @@ class PsimIndex:
     ``csr_offsets/csr_ids/csr_sims`` hold all per-word lists back to back
     (word ``w`` owns the slice ``offsets[w]:offsets[w+1]``). The build
     threshold is stored because entries below it were discarded and queries
-    under it cannot be answered.
+    under it cannot be answered. The constructor, which the builder and the
+    loader both call, takes the four arrays through :func:`core._column`.
     """
 
     mu0_build: float
@@ -150,6 +152,11 @@ class PsimIndex:
     csr_offsets: np.ndarray
     csr_ids: np.ndarray
     csr_sims: np.ndarray
+
+    def __post_init__(self):
+        for name in ("frequencies", "csr_offsets", "csr_ids"):
+            object.__setattr__(self, name, _column(getattr(self, name), np.int64, name))
+        object.__setattr__(self, "csr_sims", _column(self.csr_sims, np.float64, "csr_sims"))
 
     @property
     def size(self) -> int:
@@ -168,19 +175,9 @@ class PsimIndex:
                      for lo, hi in zip(bounds, bounds[1:]))
 
     @classmethod
-    def from_lists(cls, frequencies: np.ndarray, offsets: np.ndarray, ids: np.ndarray,
-                   sims: np.ndarray, mu0_build: float, vocab_checksum: int,
-                   dimension: int) -> "PsimIndex":
-        """Single construction path shared by the builder and the loader."""
-        frequencies = np.ascontiguousarray(frequencies, dtype=np.int64)
-        offsets = np.ascontiguousarray(offsets, dtype=np.int64)
-        ids = np.ascontiguousarray(ids, dtype=np.int64)
-        sims = np.ascontiguousarray(sims, dtype=np.float64)
-        for arr in (frequencies, offsets, ids, sims):
-            arr.setflags(write=False)
-        return cls(mu0_build=float(mu0_build), vocab_checksum=int(vocab_checksum),
-                   dimension=int(dimension), frequencies=frequencies, csr_offsets=offsets,
-                   csr_ids=ids, csr_sims=sims)
+    def from_lists(cls, frequencies, offsets, ids, sims, mu0_build, vocab_checksum, dimension) -> "PsimIndex":
+        """``PsimIndex(...)`` with the arrays first, the order ``perfbench`` calls it in."""
+        return cls(mu0_build, vocab_checksum, dimension, frequencies, offsets, ids, sims)
 
 
 def build_psmi_index(vocab: Vocabulary, mu0_build: float) -> PsimIndex:
@@ -211,14 +208,14 @@ def build_psmi_index(vocab: Vocabulary, mu0_build: float) -> PsimIndex:
     # Per word: self first (even ahead of another word at 1.0), then descending
     # similarity; ids arrive ascending and the stable sort keeps them so on ties.
     order = np.lexsort((-sims, rows != cols, rows))
-    return PsimIndex.from_lists(
-        frequencies=vocab.frequencies,
-        offsets=np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=k)))),
-        ids=cols[order],
-        sims=sims[order],
+    return PsimIndex(
         mu0_build=mu0_build,
         vocab_checksum=vocab.checksum,
         dimension=vocab.dimension,
+        frequencies=vocab.frequencies,
+        csr_offsets=np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=k)))),
+        csr_ids=cols[order],
+        csr_sims=sims[order],
     )
 
 

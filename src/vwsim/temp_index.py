@@ -21,6 +21,7 @@ import numpy as np
 from .core import (
     ImageObject,
     MatchOutcome,
+    _readonly,
     as_vector,
     check_threshold,
     image_similarity,
@@ -49,9 +50,7 @@ class TempIndex:
 
 def build_temp_index(b: ImageObject) -> TempIndex:
     """Index all words of *b*; deterministic, one normalization pass."""
-    unit = unit_rows(b.vector_matrix())
-    unit.setflags(write=False)
-    return TempIndex(unit=unit)
+    return TempIndex(unit=_readonly(unit_rows(b.vector_matrix())))
 
 
 def _top1(idx: TempIndex, raw_q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -11,8 +11,10 @@ from vwsim import (
     DomainError,
     ImageObject,
     MatchOutcome,
+    PsimIndex,
     VisualWord,
     Vocabulary,
+    cosine,
     image_similarity,
     normalize_weights,
     smin_match,
@@ -27,6 +29,34 @@ def make_raw_image(name, vectors, weights):
 
 def outcome(mu, partners):
     return MatchOutcome.from_arrays(np.asarray(mu, dtype=float), np.asarray(partners))
+
+
+def _from_lists(frequencies, csr_offsets, csr_ids, csr_sims, **scalars):
+    return PsimIndex.from_lists(frequencies, csr_offsets, csr_ids, csr_sims, **scalars)
+
+
+def build(vocab, owner="image", **columns):
+    """One of the types that take arrays, valid in every field but *columns*."""
+    index = dict(mu0_build=0.5, vocab_checksum=0, dimension=2, frequencies=[1, 1],
+                 csr_offsets=[0, 1, 2], csr_ids=[0, 1], csr_sims=[1.0, 1.0])
+    make, fields = {
+        "image": (ImageObject, dict(image_id="x", weights=np.ones(2), word_ids=[2, 0], vocab=vocab)),
+        "raw image": (ImageObject, dict(image_id="x", weights=np.ones(2), vectors=np.eye(2))),
+        "vocabulary": (Vocabulary, dict(vectors=np.eye(2), frequencies=[1, 1])),
+        "outcome": (MatchOutcome, dict(mu=[0.5, 0.0], partners=[0, -1])),
+        "index": (PsimIndex, index),
+        "index.from_lists": (_from_lists, index),
+    }[owner]
+    return make(**{**fields, **columns})
+
+
+def _first_as(kind):
+    """Spoil a column by turning its first element into *kind*."""
+    def spoil(column):
+        column = np.array(column, dtype=object)
+        column.flat[0] = kind(column.flat[0])
+        return column.tolist()
+    return spoil
 
 
 class TestNormalizeWeights:
@@ -227,11 +257,41 @@ class TestValidation:
         ("occurrence counts", dict(word_ids=[2, 0], counts=[1.0, 3.0])),
         ("occurrence counts", dict(word_ids=[2, 0], counts=[True, 2])),
         ("occurrence counts", dict(word_ids=[2, 0], counts=["1", "3"])),
+        ("partners", dict(owner="outcome", partners=[0.7, -1])),
+        ("partners", dict(owner="outcome", partners=[True, -1])),
+        ("csr_ids", dict(owner="index", csr_ids=[0.0, 1.9])),
+        ("csr_ids", dict(owner="index.from_lists", csr_ids=[0.0, 1.9])),
     ])
     def test_integer_columns_refuse_non_integers(self, tiny_vocab, column, columns):
         # Truncating or parsing would turn a wrong column into a plausible one.
         with pytest.raises(DomainError, match=f"{column} must be integers"):
-            ImageObject(image_id="x", weights=np.ones(2), vocab=tiny_vocab, **columns)
+            build(tiny_vocab, **columns)
+
+    @pytest.mark.parametrize("spoil", [_first_as(str), _first_as(bool), lambda c: np.asarray(c, bool)],
+                             ids=["string", "bool", "bool array"])
+    @pytest.mark.parametrize("column, owner, field", [
+        ("weights", "raw image", "weights"),
+        ("image vectors", "raw image", "vectors"),
+        ("vocabulary vectors", "vocabulary", "vectors"),
+        ("mu", "outcome", "mu"),
+        ("csr_sims", "index", "csr_sims"),
+    ])
+    def test_float_columns_refuse_bool_and_string_values(self, tiny_vocab, column, owner, field,
+                                                         spoil):
+        # "1.0" and True would otherwise be read as 1.0, and False as 0.0.
+        valid = build(tiny_vocab, owner)
+        with pytest.raises(DomainError, match=f"{column} must be numbers, not bool or string"):
+            build(tiny_vocab, owner, **{field: spoil(getattr(valid, field))})
+
+    @pytest.mark.parametrize("column, call", [
+        ("feature vector", lambda: cosine(["1", "0"], [1.0, 0.0])),
+        ("feature vector", lambda: VisualWord(None, [True, False], 1.0)),
+        ("word weight", lambda: VisualWord(0, [1.0, 0.0], "0.5")),
+        ("word weight", lambda: VisualWord(0, [1.0, 0.0], True)),
+    ])
+    def test_word_values_refuse_bool_and_string_values(self, column, call):
+        with pytest.raises(DomainError, match=f"{column} must be numbers, not bool or string"):
+            call()
 
     @pytest.mark.parametrize("freqs", [[1.5, 1.5], [1.0, 3.0], [True, True], ["1", "3"]])
     def test_frequencies_refuse_non_integers(self, freqs):
@@ -325,7 +385,10 @@ class TestTypes:
         match = MatchOutcome(mu, partners)
         view = np.ones(3)[1:]
         from_view = ImageObject("z", view, vectors=np.eye(2))
-        for arr in (w, e, ids, counts, vectors, freqs, mu, partners, view):
+        lists = np.array([1, 1]), np.array([0, 1, 2]), np.array([0, 1]), np.array([1.0, 1.0])
+        index = PsimIndex(0.5, 0, 2, *lists)
+        listed = PsimIndex.from_lists(*lists, 0.5, 0, 2)
+        for arr in (w, e, ids, counts, vectors, freqs, mu, partners, view, *lists):
             assert arr.flags.writeable
             arr[...] = 0
         assert raw.weights.tolist() == [1.0, 1.0] and raw.vectors.tolist() == [[1, 0], [0, 1]]
@@ -334,6 +397,9 @@ class TestTypes:
         assert np.array_equal(vocab.frequencies, tiny_vocab.frequencies)
         assert match.mu.tolist() == [0.5, 0.0] and match.partners.tolist() == [1, -1]
         assert from_view.weights.tolist() == [1.0, 1.0]
+        for built in (index, listed):
+            assert built.frequencies.tolist() == [1, 1] and built.csr_offsets.tolist() == [0, 1, 2]
+            assert built.csr_ids.tolist() == [0, 1] and built.csr_sims.tolist() == [1.0, 1.0]
 
     def test_vocab_checksum_distinguishes_vocabularies(self):
         rng = np.random.RandomState(7)

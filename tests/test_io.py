@@ -202,6 +202,13 @@ class TestMalformedRecords:
         ("images", [_image({"word_id": 0, "count": True})], "JSON integer"),
         ("images", [{"image_id": 5, "words": [{"word_id": 0, "weight": 1.0}]}], "image_id"),
         ("images", [{"image_id": "", "words": [{"word_id": 0, "weight": 1.0}]}], "image_id"),
+        ("images", [_image({"word_id": 0, "vector": [0, 1], "weight": 1.0})], "both a word_id and a vector"),
+        ("vocab", [_vocab_entry(0), _vocab_entry(1, vector=("1.0", 0.0))],
+         r"vectors must be numbers.*vectors\[1, 0\] is '1.0'"),
+        ("vocab", [_vocab_entry(0), _vocab_entry(1, vector=(True, 0.0))],
+         r"vectors must be numbers.*vectors\[1, 0\] is True"),
+        ("images", [_image({"word_id": 0, "weight": "0.5"})], "weights must be numbers"),
+        ("images", [_image({"word_id": 0, "weight": True})], "weights must be numbers"),
     ])
     def test_rejected_as_validation_error(self, tmp_path, tiny_vocab, kind, records, message):
         path = tmp_path / f"{kind}.jsonl"
@@ -362,7 +369,8 @@ class TestPsmiFiles:
         ids = [w for entries in lists for w, _ in entries]
         sims = [s for entries in lists for _, s in entries]
         offsets = np.cumsum([0] + [len(entries) for entries in lists])
-        save_psmi(PsimIndex.from_lists(np.ones(len(lists)), offsets, ids, sims, mu0, 0, 2), path)
+        freqs = np.ones(len(lists), dtype=np.int64)
+        save_psmi(PsimIndex.from_lists(freqs, offsets, ids, sims, mu0, 0, 2), path)
 
     @pytest.mark.parametrize("lists, message", [
         ([[(0, 1.0)], []], "no self entry"),
