@@ -141,7 +141,7 @@ def check_threshold(mu0: float) -> float:
     return mu0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VisualWord:
     """One weighted visual word of an image.
 
@@ -169,7 +169,7 @@ class VisualWord:
             object.__setattr__(self, "word_id", wid)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Vocabulary:
     """A codebook of ``K`` visual words.
 
@@ -235,7 +235,7 @@ class Vocabulary:
         return VisualWord(word_id=wid, vector=self.vectors[wid], weight=weight)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ImageObject:
     """An image identifier plus an ordered sequence of weighted visual words.
 
@@ -265,7 +265,7 @@ class ImageObject:
         m = weights.size
         if m < 1:
             raise DomainError(f"image {self.image_id!r} has no words")
-        if not np.all(np.isfinite(weights)) or np.any(weights <= 0.0) or np.any(weights > 1.0):
+        if not ((weights > 0.0) & (weights <= 1.0)).all():
             raise DomainError(f"image {self.image_id!r}: weights must be in (0, 1]")
         object.__setattr__(self, "weights", weights)
 
@@ -274,7 +274,7 @@ class ImageObject:
             ids = _column(ids, np.int64, "word ids")
             if ids.shape != (m,):
                 raise ContractError("word_ids must align with weights")
-            if np.any(ids < 0):
+            if (ids < 0).any():
                 raise DomainError("word ids must be non-negative")
             object.__setattr__(self, "word_ids", ids)
 
@@ -298,7 +298,7 @@ class ImageObject:
             counts = _column(self.counts, np.int64, "occurrence counts")
             if counts.shape != (m,):
                 raise ContractError("counts must align with weights")
-            if np.any(counts < 1):
+            if (counts < 1).any():
                 raise DomainError("occurrence counts must be >= 1")
             object.__setattr__(self, "counts", counts)
 
@@ -453,6 +453,14 @@ def _sum(values: np.ndarray) -> float:
     return float(np.add.reduceat(values, [0])[0]) if values.size else 0.0
 
 
+def _score(numerator, squared, unmatched_a, unmatched_b, total_a, total_b):
+    """The score from its sums, for one image pair (floats) or per image (arrays)."""
+    denominator = np.sqrt(total_a * total_b) * np.sqrt(squared + unmatched_a * unmatched_b)
+    if not (denominator > 0.0).all():  # a product of tiny weights or similarities underflowed
+        raise DomainError("the weights or similarities are too small to score: the denominator is 0")
+    return numerator / denominator
+
+
 def image_similarity(a: ImageObject, b: ImageObject, match: MatchOutcome) -> float:
     """Score two images from a completed directional match (A against B).
 
@@ -469,22 +477,15 @@ def image_similarity(a: ImageObject, b: ImageObject, match: MatchOutcome) -> flo
     bw = b.weights
     if match.mu.size != a.word_count:
         raise ContractError("match does not cover image A (mu length mismatch)")
-    if match.pair_count == 0:
+    hit = match.partners >= 0
+    b_idx = match.partners[hit]
+    if not b_idx.size:
         return 0.0
-    b_idx = match.b_indices
     if int(b_idx.max()) >= b.word_count:
         raise ContractError("match references B-side indices out of range")
 
-    wa = aw[match.a_indices]
-    wb = bw[b_idx]
-    lam = match.lambdas
-    numerator = _sum(lam * wa * wb)
-
-    unmatched_a = _sum(aw[match.mu == 0.0])
+    lam, wa, wb = match.mu[hit], aw[hit], bw[b_idx]
     b_mask = np.ones(b.word_count, dtype=bool)
     b_mask[b_idx] = False
-    unmatched_b = _sum(bw[b_mask])
-
-    mass = math.sqrt(_sum(aw) * _sum(bw))
-    penalty = math.sqrt(_sum(lam * lam * wa * wb) + unmatched_a * unmatched_b)
-    return numerator / (mass * penalty)
+    return float(_score(_sum(lam * wa * wb), _sum(lam * lam * wa * wb), _sum(aw[~hit]),
+                        _sum(bw[b_mask]), _sum(aw), _sum(bw)))

@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .core import ImageObject, Vocabulary, normalize_weights
-from .errors import CompatibilityError, FormatError, ValidationError
+from .errors import CompatibilityError, DomainError, FormatError, ValidationError
 from .psmi import PsimIndex
 
 __all__ = [
@@ -43,7 +43,7 @@ PSMI_MAGIC = b"PSMI"
 PSMI_VERSION = 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """A collection of images, optionally tied to one vocabulary."""
 
@@ -122,6 +122,10 @@ def _word_record(img: ImageObject, i: int) -> dict:
 def save_images(dataset: Dataset, path) -> None:
     lines = []
     for img in dataset.images:
+        if img.word_ids is not None and img.vectors is not None:
+            # A record holds ids or vectors; writing the ids alone would lose the vectors.
+            raise DomainError(f"image {img.image_id!r} holds both inline vectors and word ids, "
+                              "which the image format cannot store together")
         words = [_word_record(img, i) for i in range(img.word_count)]
         lines.append(json.dumps({"image_id": img.image_id, "words": words}))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

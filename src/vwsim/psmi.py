@@ -37,6 +37,7 @@ from .core import (
     Vocabulary,
     _column,
     _readonly,
+    _score,
     _segment_sums,
     _sum,
     _word_id,
@@ -385,20 +386,20 @@ def search(query: ImageObject, corpus: Corpus, mu0: float, idx: PsimIndex) -> np
     image, word, pos, lam = cand_image[win], cand_word[win], cand_pos[win], cand_sims[win]
 
     aw = query.weights
-    wa = aw[word]
-    wb = corpus.weights[pos]
+    wa, wb = aw[word], corpus.weights[pos]
     pair_counts = np.bincount(image, minlength=corpus.size)
-    numerator = _segment_sums(lam * wa * wb, pair_counts)
-    squared = _segment_sums(lam * lam * wa * wb, pair_counts)
-
     matched = np.zeros((corpus.size, m), dtype=bool)
     matched[image, word] = True
-    unmatched_a = _segment_sums(np.broadcast_to(aw, matched.shape)[~matched], m - pair_counts)
     covered = np.zeros(corpus.word_ids.size, dtype=bool)
     covered[pos] = True
-    unmatched_b = _segment_sums(corpus.weights[~covered],
-                                np.bincount(corpus.owners[~covered], minlength=corpus.size))
 
-    mass = np.sqrt(_sum(aw) * corpus.totals)
-    penalty = np.sqrt(squared + unmatched_a * unmatched_b)
-    return np.divide(numerator, mass * penalty, out=np.zeros(corpus.size), where=pair_counts > 0)
+    # The four per-image sums, as four runs of segments of one array.
+    terms = (lam * wa * wb, lam * lam * wa * wb,
+             np.broadcast_to(aw, matched.shape)[~matched], corpus.weights[~covered])
+    lengths = (pair_counts, pair_counts, m - pair_counts,
+               np.bincount(corpus.owners[~covered], minlength=corpus.size))
+    sums = _segment_sums(np.concatenate(terms), np.concatenate(lengths)).reshape(4, -1)
+    scores = np.zeros(corpus.size)
+    has_pair = pair_counts > 0
+    scores[has_pair] = _score(*sums[:, has_pair], _sum(aw), corpus.totals[has_pair])
+    return scores

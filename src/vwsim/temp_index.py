@@ -33,7 +33,7 @@ from .matching import _pair_scores
 __all__ = ["TempIndex", "build_temp_index", "query_top1", "smii_match", "smii_similarity"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TempIndex:
     """Immutable exact top-1 cosine index over one image's unit rows."""
 

@@ -200,6 +200,7 @@ class TestCriterion4RangeAndMonotonicity:
                f"decreases, {grids} threshold grids monotone, zero failures")
 
 
+@pytest.mark.slow
 class TestCriterion5PerformanceOrdering:
     """Gamma=1000 pairs at d=256, K=10000 throughout. The ordering point
     runs all three matchers at m=n=100; the growth checks sweep m from 20
@@ -238,6 +239,7 @@ class TestCriterion5PerformanceOrdering:
                f"(>=4x); sweeps took {elapsed:.0f}s")
 
 
+@pytest.mark.slow
 class TestCriterion6ScalingFits:
     """Each fit is the median slope over three independent sweeps: a single
     sweep spans tens of seconds and machine-level drift across its points

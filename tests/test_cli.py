@@ -50,6 +50,14 @@ class TestSim:
         assert code == 0
         assert out.strip() == "1.000000"
 
+    def test_unscorable_pair_exits_one(self, tmp_path, capsys):
+        # Cosine 1e-170 at mu0 = 0: the score's denominator underflows to 0.
+        a = write_single_word_image(tmp_path / "a.jsonl", [1.0, 0.0])
+        b = write_single_word_image(tmp_path / "b.jsonl", [1e-170, 1.0], image_id="other")
+        for algo in ("smin", "smii"):
+            code, out, err = run_cli(capsys, "sim", str(a), str(b), "--mu0", "0", "--algo", algo)
+            assert code == 1 and out == "" and "too small to score" in err
+
     def test_psmi_without_index_is_usage_error(self, tmp_path, capsys):
         a = write_single_word_image(tmp_path / "a.jsonl", [1.0, 0.0])
         with pytest.raises(SystemExit) as info:

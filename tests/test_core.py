@@ -8,15 +8,20 @@ from oracles import similarity_reference
 
 from vwsim import (
     ContractError,
+    Dataset,
     DomainError,
     ImageObject,
     MatchOutcome,
     PsimIndex,
     VisualWord,
     Vocabulary,
+    build_psmi_index,
+    build_temp_index,
     cosine,
     image_similarity,
     normalize_weights,
+    psmi_similarity,
+    smii_similarity,
     smin_match,
     smin_similarity,
 )
@@ -125,6 +130,31 @@ class TestImageSimilaritySpotValues:
             got = image_similarity(a, b, match)
             want = similarity_reference(a.weights, b.weights, match.pairs)
             assert abs(got - want) < 1e-12
+
+
+class TestUnderflowRefusal:
+    """A pair whose score denominator underflows to 0 is refused, not divided by.
+
+    Each pair below truly scores 1.0 (one pair, nothing unmatched; the score
+    is scale-invariant), but a product of its tiny similarity or weights is 0.
+    """
+
+    def test_every_matcher_refuses_per_pair(self):
+        # Cosine 1e-170 at mu0 = 0: lambda**2 underflows, so the penalty is 0.
+        vocab = Vocabulary(vectors=[[1.0, 0.0], [1e-170, 1.0]], frequencies=[1, 1])
+        a = ImageObject("a", [1.0], word_ids=[0], vocab=vocab)
+        b = ImageObject("b", [1.0], word_ids=[1], vocab=vocab)
+        # Weights 1e-170: the weight products and the mass term underflow.
+        tiny_a = make_raw_image("a", [[1.0, 0.0]], [1e-170])
+        tiny_b = make_raw_image("b", [[1.0, 0.0]], [1e-170])
+        idx = build_psmi_index(vocab, 0.0)
+        calls = [smin_similarity, smii_similarity, lambda a, b, mu0: psmi_similarity(a, b, mu0, idx)]
+        for score in calls:
+            with pytest.raises(DomainError, match="too small to score"):
+                score(a, b, 0.0)
+        for score in calls[:2]:
+            with pytest.raises(DomainError, match="too small to score"):
+                score(tiny_a, tiny_b, 0.5)
 
 
 class TestAsymmetry:
@@ -400,6 +430,19 @@ class TestTypes:
         for built in (index, listed):
             assert built.frequencies.tolist() == [1, 1] and built.csr_offsets.tolist() == [0, 1, 2]
             assert built.csr_ids.tolist() == [0, 1] and built.csr_sims.tolist() == [1.0, 1.0]
+
+    def test_types_compare_and_hash_by_identity(self, tiny_vocab):
+        img = ImageObject("x", np.ones(2), word_ids=[0, 2], vocab=tiny_vocab)
+        twin = ImageObject("x", np.ones(2), word_ids=[0, 2], vocab=tiny_vocab)
+        pairs = [(img, twin),
+                 (tiny_vocab, Vocabulary(tiny_vocab.vectors, tiny_vocab.frequencies)),
+                 (tiny_vocab.word(1), tiny_vocab.word(1)),
+                 (Dataset((img,)), Dataset((img,))),
+                 (build_temp_index(img), build_temp_index(img))]
+        for obj, copy in pairs:
+            assert obj == obj and obj != copy
+            assert obj in [copy, obj] and copy not in [obj]
+            assert len({obj, copy, obj}) == 2 and hash(obj) == object.__hash__(obj)
 
     def test_vocab_checksum_distinguishes_vocabularies(self):
         rng = np.random.RandomState(7)

@@ -12,6 +12,7 @@ from conftest import random_vocab, random_vocab_image
 from vwsim import (
     CompatibilityError,
     Dataset,
+    DomainError,
     FormatError,
     ImageObject,
     PsimIndex,
@@ -100,6 +101,16 @@ class TestImageFiles:
         assert np.array_equal(back.vectors, img.vectors)
         assert np.array_equal(back.counts, img.counts)
         assert np.array_equal(back.weights, img.weights)
+
+    def test_image_with_both_vectors_and_ids_is_refused(self, tmp_path):
+        # A record stores ids or vectors; saving only the ids would reload
+        # another vocabulary's rows in place of these vectors.
+        img = ImageObject(image_id="both", weights=np.ones(2), word_ids=[3, 7],
+                          vectors=np.array([[1.0, 0.0], [0.0, 1.0]]))
+        path = tmp_path / "images.jsonl"
+        with pytest.raises(DomainError, match="image 'both' holds both inline vectors and word ids"):
+            save_images(Dataset(images=(img,)), path)
+        assert not path.exists()
 
     def test_counts_only_derive_weights(self, tmp_path):
         path = tmp_path / "images.jsonl"

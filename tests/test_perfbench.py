@@ -7,9 +7,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
+@pytest.mark.slow
 def test_smoke_sweep_runs_and_checks_out():
     # Every workload at tiny sizes, untraced and traced, each output checked;
     # warnings are errors here as in the in-process suite.

@@ -264,6 +264,21 @@ class TestSearch:
         only_two = vocab_image(tiny_vocab, [2], name="q2")
         assert assert_search_is_per_pair(only_two, images[1:2], 0.7, idx).tolist() == [0.0]
 
+    def test_search_refuses_an_underflowing_denominator(self, tiny_vocab):
+        # One-word images of weight 1e-170 truly score 1.0, but every weight
+        # product underflows; the per-pair call refuses too. A pair-less image
+        # is not scored, so it still reads 0.0.
+        idx = build_psmi_index(tiny_vocab, 0.7)
+        query = vocab_image(tiny_vocab, [0], [1e-170], "q")
+        tiny = vocab_image(tiny_vocab, [0], [1e-170], "tiny")
+        no_pair = vocab_image(tiny_vocab, [2], [1e-170], "no-pair")
+        for images in ([tiny], [no_pair, tiny]):
+            with pytest.raises(DomainError, match="too small to score"):
+                search(query, Corpus.from_dataset(Dataset(images=images)), 0.7, idx)
+        with pytest.raises(DomainError, match="too small to score"):
+            psmi_similarity(query, tiny, 0.7, idx)
+        assert assert_search_is_per_pair(query, [no_pair], 0.7, idx).tolist() == [0.0]
+
     def test_search_last_images_fully_matched(self):
         # The last images' unmatched-B (and unmatched-A) segments are empty:
         # a reduceat over clamped offsets would fold the previous image's
