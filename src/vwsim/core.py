@@ -143,13 +143,13 @@ def check_threshold(mu0: float) -> float:
 
 @dataclass(frozen=True, eq=False)
 class VisualWord:
-    """One weighted visual word of an image.
+    """One weighted visual word, as a feature vector.
 
-    ``word_id`` is the vocabulary identifier when the word comes from a
-    codebook, or ``None`` for a raw (inline-vector) word. When an id is
-    present the vector must be the vocabulary entry's vector bit-for-bit;
-    materializing words through :class:`Vocabulary` or the loaders keeps
-    that true automatically.
+    ``word_id`` optionally names the vocabulary word the vector came from,
+    or is ``None``. It is a label only: :meth:`ImageObject.from_words`
+    stacks the vectors into a raw image and keeps no ids, since a
+    vocabulary-backed image is built from word ids and its
+    :class:`Vocabulary` instead.
     """
 
     word_id: Optional[int]
@@ -227,26 +227,23 @@ class Vocabulary:
             h = ((h ^ byte) * prime) & mask
         return h
 
-    def word(self, word_id: int, weight: float = 1.0) -> VisualWord:
-        """Materialize a word of this vocabulary as a :class:`VisualWord`."""
-        wid = _word_id(word_id)
-        if not (0 <= wid < self.size):
-            raise DomainError(f"word id {wid} outside vocabulary of size {self.size}")
-        return VisualWord(word_id=wid, vector=self.vectors[wid], weight=weight)
-
 
 @dataclass(frozen=True, eq=False)
 class ImageObject:
     """An image identifier plus an ordered sequence of weighted visual words.
 
-    An image has a non-empty string id and at least one word, and its inline
-    vectors can be normalized. This constructor is the one place these are
-    checked, so no loader, matcher or scorer re-checks them.
+    Stored columnar, with ``weights`` always, as one of two kinds:
 
-    Stored columnar for efficiency: ``weights`` always, plus either an
-    explicit ``(m, d)`` ``vectors`` matrix (raw words) or ``word_ids``
-    resolved against ``vocab`` (codebook words, vectors materialized on
-    demand so they stay bit-identical to the vocabulary rows).
+    - raw: an ``(m, d)`` matrix of inline word ``vectors``, and no
+      ``word_ids`` or ``vocab``. smin and smii match these.
+    - vocabulary-backed: ``word_ids`` resolved against ``vocab``, and no
+      ``vectors``. The vectors are gathered on demand, so they stay
+      bit-identical to the vocabulary rows. psmi needs this kind, since its
+      index is built over one vocabulary.
+
+    An image has a non-empty string id and at least one word, and its inline
+    vectors can be normalized. This constructor is the one place these
+    rules are checked, so no loader, matcher or scorer re-checks them.
     """
 
     image_id: str
@@ -259,6 +256,10 @@ class ImageObject:
     def __post_init__(self):
         if not isinstance(self.image_id, str) or not self.image_id:
             raise DomainError(f"image_id must be a non-empty string, got {self.image_id!r}")
+        raw = self.vocab is None
+        if (self.vectors is None) == raw or (self.word_ids is None) != raw:
+            raise ContractError(f"image {self.image_id!r} must hold either inline vectors, "
+                                "or word ids with their vocabulary, not both")
         weights = _column(self.weights, np.float64, "weights")
         if weights.ndim != 1:
             raise ContractError("weights must be a 1-D array")
@@ -269,30 +270,21 @@ class ImageObject:
             raise DomainError(f"image {self.image_id!r}: weights must be in (0, 1]")
         object.__setattr__(self, "weights", weights)
 
-        ids = self.word_ids
-        if ids is not None:
-            ids = _column(ids, np.int64, "word ids")
-            if ids.shape != (m,):
-                raise ContractError("word_ids must align with weights")
-            if (ids < 0).any():
-                raise DomainError("word ids must be non-negative")
-            object.__setattr__(self, "word_ids", ids)
-
-        if self.vectors is not None:
-            if self.vocab is not None:
-                raise ContractError("pass either explicit vectors or a vocabulary, not both")
+        if raw:
             vecs = _column(self.vectors, np.float64, "image vectors")
             if vecs.ndim != 2 or vecs.shape[0] != m:
                 raise ContractError("vectors must be an (m, d) matrix aligned with weights")
             _squared_norms(vecs, f"image {self.image_id!r}")
             object.__setattr__(self, "vectors", vecs)
         else:
-            if self.vocab is None:
-                raise ContractError("image needs explicit vectors or a vocabulary to resolve ids")
-            if ids is None:
-                raise ContractError("vocabulary-backed image needs word_ids")
+            ids = _column(self.word_ids, np.int64, "word ids")
+            if ids.shape != (m,):
+                raise ContractError("word_ids must align with weights")
+            if (ids < 0).any():
+                raise DomainError("word ids must be non-negative")
             if int(ids.max()) >= self.vocab.size:
                 raise DomainError(f"image {self.image_id!r}: word id outside vocabulary")
+            object.__setattr__(self, "word_ids", ids)
 
         if self.counts is not None:
             counts = _column(self.counts, np.int64, "occurrence counts")
@@ -305,7 +297,12 @@ class ImageObject:
     @classmethod
     def from_words(cls, image_id: str, words: Sequence[VisualWord],
                    counts: Optional[Sequence[int]] = None) -> "ImageObject":
-        """Build an image from :class:`VisualWord` objects (stacks their vectors)."""
+        """A raw image of the words' stacked vectors and their weights.
+
+        The words' ids are not kept, so the result is raw even when every
+        word names a vocabulary word: build a vocabulary-backed image from
+        ``word_ids`` and ``vocab`` instead.
+        """
         words = list(words)
         if not words:
             raise DomainError("cannot build an image from zero words")
@@ -314,9 +311,7 @@ class ImageObject:
             raise ContractError("all words of an image must share one dimension")
         vectors = np.stack([w.vector for w in words])
         weights = np.array([w.weight for w in words], dtype=np.float64)
-        ids = [w.word_id for w in words] if all(w.word_id is not None for w in words) else None
-        return cls(image_id=image_id, weights=weights, word_ids=ids, vectors=vectors,
-                   counts=counts)
+        return cls(image_id=image_id, weights=weights, vectors=vectors, counts=counts)
 
     @property
     def word_count(self) -> int:
@@ -333,16 +328,6 @@ class ImageObject:
         if self.vectors is not None:
             return self.vectors
         return self.vocab.vectors[self.word_ids]
-
-    @cached_property
-    def words(self) -> tuple[VisualWord, ...]:
-        mat = self.vector_matrix()
-        ids = self.word_ids
-        return tuple(
-            VisualWord(word_id=None if ids is None else int(ids[i]),
-                       vector=mat[i], weight=float(self.weights[i]))
-            for i in range(self.word_count)
-        )
 
     def with_weights(self, weights: np.ndarray) -> "ImageObject":
         return ImageObject(image_id=self.image_id, weights=weights, word_ids=self.word_ids,
@@ -423,8 +408,8 @@ def normalize_weights(raw: Sequence[float]) -> np.ndarray:
     This is the normalization contract that keeps image weights in
     ``(0, 1]``, which in turn is what bounds :func:`image_similarity` by 1.
     """
-    arr = np.asarray(raw, dtype=np.float64)
-    if arr.ndim != 1 or arr.size < 1:
+    arr = _column(raw, np.float64, "raw weights")
+    if np.ndim(raw) != 1 or arr.size < 1:
         raise DomainError("raw weights must be a non-empty 1-D sequence")
     if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
         raise DomainError("raw weights must be finite and positive")

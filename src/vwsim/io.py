@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .core import ImageObject, Vocabulary, normalize_weights
-from .errors import CompatibilityError, DomainError, FormatError, ValidationError
+from .errors import CompatibilityError, FormatError, ValidationError
 from .psmi import PsimIndex
 
 __all__ = [
@@ -57,7 +57,7 @@ class Dataset:
             if img.image_id in seen:
                 raise ValidationError(f"duplicate image id {img.image_id!r}")
             seen.add(img.image_id)
-            if (self.vocab is not None and img.word_ids is not None
+            if (self.vocab is not None and img.vocab is not None
                     and int(img.word_ids.max()) >= self.vocab.size):
                 raise ValidationError(
                     f"image {img.image_id!r} references a word id outside the vocabulary")
@@ -122,10 +122,6 @@ def _word_record(img: ImageObject, i: int) -> dict:
 def save_images(dataset: Dataset, path) -> None:
     lines = []
     for img in dataset.images:
-        if img.word_ids is not None and img.vectors is not None:
-            # A record holds ids or vectors; writing the ids alone would lose the vectors.
-            raise DomainError(f"image {img.image_id!r} holds both inline vectors and word ids, "
-                              "which the image format cannot store together")
         words = [_word_record(img, i) for i in range(img.word_count)]
         lines.append(json.dumps({"image_id": img.image_id, "words": words}))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -138,7 +134,7 @@ def _parse_image(rec: dict, vocab: Optional[Vocabulary], where: str) -> ImageObj
     if not isinstance(words, list) or not words:
         raise ValidationError(f"{where}: image {image_id!r} has no words")
 
-    for key in ("word_id", "count", "weight"):
+    for key in ("word_id", "vector", "count", "weight"):
         if 0 < sum(key in w for w in words) < len(words):
             raise ValidationError(f"{where}: image {image_id!r} mixes words with and without {key!r}")
     if "weight" not in words[0] and "count" not in words[0]:
@@ -146,15 +142,12 @@ def _parse_image(rec: dict, vocab: Optional[Vocabulary], where: str) -> ImageObj
 
     counts = [_json_int(w["count"]) for w in words] if "count" in words[0] else None
     weights = [w["weight"] for w in words] if "weight" in words[0] else normalize_weights(counts)
-    if "word_id" in words[0]:
-        if any("vector" in w for w in words):
-            raise ValidationError(f"{where}: image {image_id!r}: a word has both a word_id and a vector")
-        if vocab is None:
-            raise ValidationError(f"{where}: image {image_id!r} uses word ids but no vocabulary was given")
-        return ImageObject(image_id=image_id, weights=weights, counts=counts,
-                           word_ids=[_json_int(w["word_id"]) for w in words], vocab=vocab)
-    return ImageObject(image_id=image_id, weights=weights, counts=counts,
-                       vectors=[w["vector"] for w in words])
+    ids = [_json_int(w["word_id"]) for w in words] if "word_id" in words[0] else None
+    if ids is not None and vocab is None:
+        raise ValidationError(f"{where}: image {image_id!r} uses word ids but no vocabulary was given")
+    return ImageObject(image_id=image_id, weights=weights, counts=counts, word_ids=ids,
+                       vectors=[w["vector"] for w in words] if "vector" in words[0] else None,
+                       vocab=None if ids is None else vocab)
 
 
 def load_images(path, vocab: Optional[Vocabulary] = None) -> Dataset:

@@ -30,39 +30,39 @@ def tfidf_weights(dataset: Dataset) -> Dataset:
     with ``N`` the corpus size and ``df`` the number of images containing the
     word; weights are then scaled so each image's maximum is exactly 1.
     Repeated word ids within an image are aggregated into counts first.
-    Requires id-carrying images with occurrence counts.
+    Requires at least one image, and vocabulary-backed images with
+    occurrence counts.
     """
     n_images = len(dataset.images)
+    if not n_images:
+        raise DomainError("tf-idf needs at least one image")
     aggregated = []
     for img in dataset.images:
-        if img.word_ids is None:
+        if img.vocab is None:
             raise DomainError(f"image {img.image_id!r} has no word ids; tf-idf needs word identity")
         if img.counts is None:
             raise DomainError(f"image {img.image_id!r} has no occurrence counts")
-        ids, counts, keep = img.word_ids, img.counts, np.arange(img.word_count)
+        ids, counts = img.word_ids, img.counts
         if np.unique(ids).size != ids.size:
-            # Repeated ids collapse into one word; same-id words carry the
-            # same vector, so the first occurrence stands for all of them.
-            ids, keep, inverse = np.unique(ids, return_index=True, return_inverse=True)
+            ids, inverse = np.unique(ids, return_inverse=True)
             counts = np.zeros(ids.size, dtype=np.int64)
             np.add.at(counts, inverse, img.counts)
-        aggregated.append((img, ids, counts, keep))
+        aggregated.append((img, ids, counts))
 
     # idf by ``math.log`` (``np.log`` is an ulp off on some arguments), once
     # per distinct document frequency, gathered back to each occurrence.
-    all_ids = np.concatenate([ids for _, ids, _, _ in aggregated])
+    all_ids = np.concatenate([ids for _, ids, _ in aggregated])
     _, word_of, df = np.unique(all_ids, return_inverse=True, return_counts=True)
     levels, level_of = np.unique(df[word_of], return_inverse=True)
     idf = np.array([math.log(1.0 + n_images / v) for v in levels.tolist()])[level_of]
-    idf_sets = np.split(idf, np.cumsum([ids.size for _, ids, _, _ in aggregated])[:-1])
+    idf_sets = np.split(idf, np.cumsum([ids.size for _, ids, _ in aggregated])[:-1])
 
     images = []
-    for (img, ids, counts, keep), idf in zip(aggregated, idf_sets):
+    for (img, ids, counts), idf in zip(aggregated, idf_sets):
         raw = (counts / counts.max()) * idf
         weights = raw / raw.max()
-        vectors = None if img.vectors is None else img.vectors[keep]
         images.append(ImageObject(image_id=img.image_id, weights=weights, word_ids=ids,
-                                  vectors=vectors, vocab=img.vocab, counts=counts))
+                                  vocab=img.vocab, counts=counts))
     return Dataset(images=tuple(images), vocab=dataset.vocab)
 
 

@@ -59,7 +59,7 @@ def perturb_image(image: ImageObject, rho: float, rng: np.random.RandomState,
     With ``rho == 0`` the word multiset is copied exactly (weights still
     jitter). Occurrence counts do not survive perturbation.
     """
-    if image.word_ids is None or image.vocab is None:
+    if image.vocab is None:
         raise DomainError("can only perturb vocabulary-backed images")
     if not (0.0 <= rho <= 1.0):
         raise DomainError("rho must lie in [0, 1]")

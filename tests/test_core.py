@@ -84,7 +84,8 @@ class TestNormalizeWeights:
             assert out.max() == 1.0
             assert np.all(out > 0.0)
 
-    @pytest.mark.parametrize("bad", [[0.0, 1.0], [-1.0], [float("nan")], [float("inf")], []])
+    @pytest.mark.parametrize("bad", [[0.0, 1.0], [-1.0], [float("nan")], [float("inf")], [],
+                                     ["1", "2"], [True, True]])
     def test_rejects_invalid(self, bad):
         with pytest.raises(DomainError):
             normalize_weights(bad)
@@ -261,13 +262,8 @@ class TestValidation:
         with pytest.raises(DomainError, match="word id must be integers"):
             VisualWord(wid, [1.0, 0.0], 1.0)
 
-    def test_vocabulary_word_refuses_non_integer_id(self, tiny_vocab):
-        with pytest.raises(DomainError, match="word id must be integers"):
-            tiny_vocab.word(1.9)
-
-    def test_numpy_integer_word_ids_accepted(self, tiny_vocab):
+    def test_numpy_integer_word_ids_accepted(self):
         assert VisualWord(np.int64(2), [1.0, 0.0], 1.0).word_id == 2
-        assert tiny_vocab.word(np.uint8(1)).word_id == 1
 
     def test_vocabulary_requires_unit_vectors(self):
         with pytest.raises(DomainError):
@@ -329,7 +325,7 @@ class TestValidation:
             Vocabulary(vectors=np.eye(2), frequencies=freqs)
 
     def test_from_words_passes_counts_to_the_constructor(self, tiny_vocab):
-        words = [tiny_vocab.word(0), tiny_vocab.word(2)]
+        words = [VisualWord(i, tiny_vocab.vectors[i], 1.0) for i in (0, 2)]
         with pytest.raises(DomainError, match="occurrence counts must be integers"):
             ImageObject.from_words("x", words, counts=[1.5, 2.0])
         assert ImageObject.from_words("x", words, counts=[1, 2]).counts.tolist() == [1, 2]
@@ -389,13 +385,28 @@ class TestTypes:
         img = ImageObject(image_id="x", weights=np.array([1.0, 0.5]),
                           word_ids=np.array([1, 2]), vocab=tiny_vocab)
         assert np.array_equal(img.vector_matrix()[0], tiny_vocab.vectors[1])
-        words = img.words
-        assert words[0].word_id == 1 and words[1].weight == 0.5
 
-    def test_from_words_keeps_ids_when_all_present(self, tiny_vocab):
-        img = ImageObject.from_words("x", [tiny_vocab.word(0), tiny_vocab.word(2, weight=0.3)])
-        assert img.word_ids.tolist() == [0, 2]
-        assert np.array_equal(img.vector_matrix()[1], tiny_vocab.vectors[2])
+    def test_from_words_makes_a_raw_image_even_from_vocabulary_rows(self, tiny_vocab):
+        words = [VisualWord(i, tiny_vocab.vectors[i], w) for i, w in ((0, 1.0), (2, 0.3))]
+        img = ImageObject.from_words("x", words)
+        assert img.word_ids is None and img.vocab is None
+        assert np.array_equal(img.vectors, tiny_vocab.vectors[[0, 2]])
+        assert img.weights.tolist() == [1.0, 0.3]
+
+    @pytest.mark.parametrize("columns", [
+        dict(word_ids=[0, 2], vectors=np.eye(2)),
+        dict(word_ids=[0, 2]),
+        dict(vectors=np.eye(2), vocab="tiny"),
+        dict(word_ids=[0, 2], vectors=np.eye(2), vocab="tiny"),
+        dict(vocab="tiny"),
+        dict(),
+    ], ids=["ids and vectors", "ids without vocabulary", "vectors with vocabulary",
+            "all three", "vocabulary alone", "nothing"])
+    def test_an_image_is_raw_or_vocabulary_backed_never_both(self, tiny_vocab, columns):
+        columns = {k: tiny_vocab if k == "vocab" else v for k, v in columns.items()}
+        with pytest.raises(ContractError, match="image 'x' must hold either inline vectors, "
+                                                "or word ids with their vocabulary, not both"):
+            ImageObject("x", np.ones(2), **columns)
 
     def test_immutability(self, tiny_vocab):
         img = random_vocab_image(np.random.RandomState(0), tiny_vocab, 3)
@@ -436,7 +447,7 @@ class TestTypes:
         twin = ImageObject("x", np.ones(2), word_ids=[0, 2], vocab=tiny_vocab)
         pairs = [(img, twin),
                  (tiny_vocab, Vocabulary(tiny_vocab.vectors, tiny_vocab.frequencies)),
-                 (tiny_vocab.word(1), tiny_vocab.word(1)),
+                 tuple(VisualWord(1, tiny_vocab.vectors[1], 1.0) for _ in range(2)),
                  (Dataset((img,)), Dataset((img,))),
                  (build_temp_index(img), build_temp_index(img))]
         for obj, copy in pairs:

@@ -11,8 +11,8 @@ from conftest import random_vocab, random_vocab_image
 
 from vwsim import (
     CompatibilityError,
+    ContractError,
     Dataset,
-    DomainError,
     FormatError,
     ImageObject,
     PsimIndex,
@@ -102,15 +102,13 @@ class TestImageFiles:
         assert np.array_equal(back.counts, img.counts)
         assert np.array_equal(back.weights, img.weights)
 
-    def test_image_with_both_vectors_and_ids_is_refused(self, tmp_path):
-        # A record stores ids or vectors; saving only the ids would reload
-        # another vocabulary's rows in place of these vectors.
-        img = ImageObject(image_id="both", weights=np.ones(2), word_ids=[3, 7],
-                          vectors=np.array([[1.0, 0.0], [0.0, 1.0]]))
-        path = tmp_path / "images.jsonl"
-        with pytest.raises(DomainError, match="image 'both' holds both inline vectors and word ids"):
-            save_images(Dataset(images=(img,)), path)
-        assert not path.exists()
+    def test_image_with_both_vectors_and_ids_is_refused(self):
+        # A record stores ids or vectors, so no image the writer is handed
+        # can hold both: the constructor refuses it before save_images runs.
+        with pytest.raises(ContractError, match="image 'both' must hold either inline vectors, "
+                                                "or word ids with their vocabulary, not both"):
+            ImageObject(image_id="both", weights=np.ones(2), word_ids=[3, 7],
+                        vectors=np.array([[1.0, 0.0], [0.0, 1.0]]))
 
     def test_counts_only_derive_weights(self, tmp_path):
         path = tmp_path / "images.jsonl"
@@ -213,7 +211,8 @@ class TestMalformedRecords:
         ("images", [_image({"word_id": 0, "count": True})], "JSON integer"),
         ("images", [{"image_id": 5, "words": [{"word_id": 0, "weight": 1.0}]}], "image_id"),
         ("images", [{"image_id": "", "words": [{"word_id": 0, "weight": 1.0}]}], "image_id"),
-        ("images", [_image({"word_id": 0, "vector": [0, 1], "weight": 1.0})], "both a word_id and a vector"),
+        ("images", [_image({"word_id": 0, "vector": [0, 1], "weight": 1.0})],
+         "image 'x' must hold either inline vectors, or word ids with their vocabulary, not both"),
         ("vocab", [_vocab_entry(0), _vocab_entry(1, vector=("1.0", 0.0))],
          r"vectors must be numbers.*vectors\[1, 0\] is '1.0'"),
         ("vocab", [_vocab_entry(0), _vocab_entry(1, vector=(True, 0.0))],

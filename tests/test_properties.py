@@ -6,7 +6,8 @@ tie exactly), rows that only the identity rule scores 1.0 against
 themselves, repeated rows, and near-identical rows whose cosine falls in
 the identity band. Images have one to four words. Thresholds include the
 similarities the index stores, where the strict ``> mu0`` rule decides.
-Examples are derandomized and few, so the run is fixed and short.
+Each matched pair is also scored as raw twins, the same words as inline
+vectors. Examples are derandomized and few, so the run is fixed and short.
 """
 
 import itertools
@@ -14,6 +15,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,6 +23,8 @@ from vwsim import (
     Corpus,
     Dataset,
     ImageObject,
+    PreconditionError,
+    VisualWord,
     Vocabulary,
     build_psmi_index,
     load_psmi,
@@ -99,6 +103,13 @@ def cases(draw, corpus_size=1):
     return index, mu0, query, targets
 
 
+def raw_twin(image):
+    """The same words as a raw image: each word's vocabulary row, inline."""
+    vocab = image.vocab
+    return ImageObject.from_words(image.image_id, [
+        VisualWord(None, vocab.vectors[i], w) for i, w in zip(image.word_ids, image.weights)])
+
+
 @PROPERTY
 @given(cases())
 def test_three_matchers_agree(case):
@@ -109,6 +120,12 @@ def test_three_matchers_agree(case):
     score = smin_similarity(a, b, mu0)
     assert smii_similarity(a, b, mu0) == score
     assert psmi_similarity(a, b, mu0, index) == score
+    # Raw twins score the same bits under the vector matchers; psmi needs ids.
+    raw_a, raw_b = raw_twin(a), raw_twin(b)
+    assert smin_similarity(raw_a, raw_b, mu0) == score
+    assert smii_similarity(raw_a, raw_b, mu0) == score
+    with pytest.raises(PreconditionError):
+        psmi_similarity(raw_a, raw_b, mu0, index)
 
 
 @PROPERTY

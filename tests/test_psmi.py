@@ -13,6 +13,7 @@ from vwsim import (
     ImageObject,
     PreconditionError,
     UnknownWordError,
+    VisualWord,
     Vocabulary,
     build_huffman_tree,
     build_psmi_index,
@@ -504,9 +505,11 @@ class TestPsmiPreconditions:
         idx = build_psmi_index(tiny_vocab, 0.7)
         other = random_vocab(np.random.RandomState(131), tiny_vocab.size, 2)
         own, foreign = vocab_image(tiny_vocab, [0, 1]), vocab_image(other, [0, 1])
-        # Ids without a vocabulary cannot be checked against the index.
-        loose = ImageObject.from_words("loose", [other.word(0), other.word(1)])
-        assert loose.word_ids is not None and loose.vocab is None
+        # Words taken from a vocabulary's rows make a raw image, with no ids
+        # to check against the index.
+        loose = ImageObject.from_words("loose", [VisualWord(i, other.vectors[i], 1.0)
+                                                 for i in (0, 1)])
+        assert loose.word_ids is None and loose.vocab is None
         for a, b in ((foreign, own), (own, foreign), (foreign, foreign), (loose, loose)):
             with pytest.raises(PreconditionError):
                 psmi_match(a, b, 0.7, idx)

@@ -76,6 +76,10 @@ class TestTfidf:
         with pytest.raises(DomainError):
             tfidf_weights(Dataset(images=(img,)))
 
+    def test_requires_an_image(self):
+        with pytest.raises(DomainError, match="tf-idf needs at least one image"):
+            tfidf_weights(Dataset(()))
+
 
 class TestKmeans:
     def test_two_points_two_clusters(self):
