@@ -49,15 +49,18 @@ _ELEMENTS = {
 }
 
 
-def _column(values, dtype, what: str) -> np.ndarray:
-    """*values* as a fresh, read-only, C-contiguous array, failing as a :class:`DomainError`.
+def _column(values, dtype, what: str, shape: tuple) -> np.ndarray:
+    """*values* as a fresh, read-only, C-contiguous array of the given *shape*.
 
-    This is the one way an array enters a vwsim type. The copy is the type's
-    own, so freezing it never freezes the caller's array. An integer column
-    refuses float (``1.0`` too), bool and string values, and values past its
-    range; a float column refuses bool and string values. Neither truncates,
-    parses or wraps a value, and the error names the first one refused. A
-    flat list of plain ints (and floats) is taken without an object copy.
+    This is the one way an array enters a vwsim type, and the one place its
+    dtype and shape are checked; the copy is the type's own. A wrong value
+    is a :class:`DomainError`: an integer column refuses float (``1.0``
+    too), bool and string values, and values past its range; a float column
+    refuses bool and string values. No value is truncated, parsed or
+    wrapped, and the error names the first one refused. *shape* gives each
+    axis's length, or ``None`` for any; a scalar has shape ``()`` and is
+    never promoted to a column. A wrong rank or length is a
+    :class:`ContractError` naming the column and both shapes.
     """
     noun, kinds, allowed = _ELEMENTS[dtype]
     refused = ()
@@ -66,23 +69,31 @@ def _column(values, dtype, what: str) -> np.ndarray:
         if not (plain or isinstance(values, np.ndarray) and values.dtype.kind in kinds):
             # As Python objects, elements keep their own types (not float for ints past
             # int64) and refuse to wrap; a ragged input's lists fail as not rectangular.
-            values = np.array(values, dtype=object, ndmin=1)
+            values = np.array(values, dtype=object)
             refused = {t for t in set(map(type, values.flat))
                        if t is bool or not issubclass(t, (*allowed, list, tuple, np.ndarray))}
         if not refused:
-            return _readonly(np.array(values, dtype=dtype, order="C", ndmin=1))
+            column = np.array(values, dtype=dtype, order="C")
     except OverflowError as exc:
         raise DomainError(f"{what} must fit in {np.dtype(dtype).name}") from exc
     except (TypeError, ValueError) as exc:
         raise DomainError(f"{what} must be a rectangular numeric array") from exc
-    i = next(i for i, v in enumerate(values.flat) if type(v) in refused)
-    at = ", ".join(map(str, np.unravel_index(i, values.shape)))
-    raise DomainError(f"{what} must be {noun}; {what}[{at}] is {values.flat[i]!r}")
+    if refused:
+        i = next(i for i, v in enumerate(values.flat) if type(v) in refused)
+        at = f"[{', '.join(map(str, np.unravel_index(i, values.shape)))}]" if values.ndim else ""
+        raise DomainError(f"{what} must be {noun}; {what}{at} is {values.flat[i]!r}")
+    if column.ndim == len(shape):
+        for got, want in zip(column.shape, shape):
+            if got != want and want is not None:
+                break
+        else:
+            return _readonly(column)
+    raise ContractError(f"{what} must have shape {shape}, got {column.shape}".replace("None", "any"))
 
 
 def _word_id(value) -> int:
     """A scalar word id, under the integer rule of :func:`_column`."""
-    return int(_column(np.reshape(value, 1), np.int64, "word id")[0])
+    return int(_column(value, np.int64, "word id", ()))
 
 
 def _squared_norms(matrix: np.ndarray, what: str) -> np.ndarray:
@@ -99,9 +110,9 @@ def _squared_norms(matrix: np.ndarray, what: str) -> np.ndarray:
 
 def as_vector(values) -> np.ndarray:
     """Coerce *values* to a read-only 1-D float64 vector that can be normalized."""
-    vec = _column(values, np.float64, "feature vector")
-    if np.ndim(values) != 1 or vec.size < 1:
-        raise DomainError(f"feature vector must be 1-D and non-empty, got shape {np.shape(values)}")
+    vec = _column(values, np.float64, "feature vector", (None,))
+    if vec.size < 1:
+        raise DomainError("feature vector must be non-empty")
     _squared_norms(vec[None], "input")
     return vec
 
@@ -158,7 +169,7 @@ class VisualWord:
 
     def __post_init__(self):
         object.__setattr__(self, "vector", as_vector(self.vector))
-        w = float(_column(np.reshape(self.weight, 1), np.float64, "word weight")[0])
+        w = float(_column(self.weight, np.float64, "word weight", ()))
         if not (0.0 < w <= 1.0) or math.isnan(w):
             raise DomainError(f"word weight must be in (0, 1], got {w!r}")
         object.__setattr__(self, "weight", w)
@@ -182,18 +193,16 @@ class Vocabulary:
     frequencies: np.ndarray
 
     def __post_init__(self):
-        vecs = _column(self.vectors, np.float64, "vocabulary vectors")
-        if vecs.ndim != 2 or vecs.shape[0] < 1 or vecs.shape[1] < 1:
-            raise DomainError(f"vocabulary vectors must be a non-empty 2-D array, got {vecs.shape}")
+        vecs = _column(self.vectors, np.float64, "vocabulary vectors", (None, None))
+        if vecs.size < 1:
+            raise DomainError(f"vocabulary vectors must be non-empty, got shape {vecs.shape}")
         finite = np.isfinite(vecs).all(axis=1)
         if not finite.all():
             raise DomainError(f"vocabulary word {int(finite.argmin())} has non-finite components")
         off_unit = np.abs(np.sqrt(np.einsum("ij,ij->i", vecs, vecs)) - 1.0) > UNIT_NORM_TOL
         if off_unit.any():
             raise DomainError(f"vocabulary word {int(off_unit.argmax())} is not unit length")
-        freqs = _column(self.frequencies, np.int64, "frequencies")
-        if freqs.shape != (vecs.shape[0],):
-            raise ContractError("frequencies must have one entry per vocabulary word")
+        freqs = _column(self.frequencies, np.int64, "frequencies", (vecs.shape[0],))
         negative = freqs < 0
         if negative.any():
             raise DomainError(f"vocabulary word {int(negative.argmax())} has a negative frequency")
@@ -260,9 +269,7 @@ class ImageObject:
         if (self.vectors is None) == raw or (self.word_ids is None) != raw:
             raise ContractError(f"image {self.image_id!r} must hold either inline vectors, "
                                 "or word ids with their vocabulary, not both")
-        weights = _column(self.weights, np.float64, "weights")
-        if weights.ndim != 1:
-            raise ContractError("weights must be a 1-D array")
+        weights = _column(self.weights, np.float64, "weights", (None,))
         m = weights.size
         if m < 1:
             raise DomainError(f"image {self.image_id!r} has no words")
@@ -271,15 +278,11 @@ class ImageObject:
         object.__setattr__(self, "weights", weights)
 
         if raw:
-            vecs = _column(self.vectors, np.float64, "image vectors")
-            if vecs.ndim != 2 or vecs.shape[0] != m:
-                raise ContractError("vectors must be an (m, d) matrix aligned with weights")
+            vecs = _column(self.vectors, np.float64, "image vectors", (m, None))
             _squared_norms(vecs, f"image {self.image_id!r}")
             object.__setattr__(self, "vectors", vecs)
         else:
-            ids = _column(self.word_ids, np.int64, "word ids")
-            if ids.shape != (m,):
-                raise ContractError("word_ids must align with weights")
+            ids = _column(self.word_ids, np.int64, "word ids", (m,))
             if (ids < 0).any():
                 raise DomainError("word ids must be non-negative")
             if int(ids.max()) >= self.vocab.size:
@@ -287,9 +290,7 @@ class ImageObject:
             object.__setattr__(self, "word_ids", ids)
 
         if self.counts is not None:
-            counts = _column(self.counts, np.int64, "occurrence counts")
-            if counts.shape != (m,):
-                raise ContractError("counts must align with weights")
+            counts = _column(self.counts, np.int64, "occurrence counts", (m,))
             if (counts < 1).any():
                 raise DomainError("occurrence counts must be >= 1")
             object.__setattr__(self, "counts", counts)
@@ -304,14 +305,8 @@ class ImageObject:
         ``word_ids`` and ``vocab`` instead.
         """
         words = list(words)
-        if not words:
-            raise DomainError("cannot build an image from zero words")
-        dims = {w.vector.size for w in words}
-        if len(dims) != 1:
-            raise ContractError("all words of an image must share one dimension")
-        vectors = np.stack([w.vector for w in words])
-        weights = np.array([w.weight for w in words], dtype=np.float64)
-        return cls(image_id=image_id, weights=weights, vectors=vectors, counts=counts)
+        return cls(image_id=image_id, weights=[w.weight for w in words],
+                   vectors=[w.vector for w in words], counts=counts)
 
     @property
     def word_count(self) -> int:
@@ -353,11 +348,10 @@ class MatchOutcome:
     partners: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "mu", _column(self.mu, np.float64, "mu"))
-        object.__setattr__(self, "partners", _column(self.partners, np.int64, "partners"))
-        mu, partners = self.mu, self.partners
-        if mu.shape != partners.shape or mu.ndim != 1:
-            raise ContractError("mu and partners must be aligned 1-D arrays")
+        mu = _column(self.mu, np.float64, "mu", (None,))
+        partners = _column(self.partners, np.int64, "partners", mu.shape)
+        object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "partners", partners)
         if not ((mu >= 0.0) & (mu <= 1.0)).all():
             raise DomainError("similarities must lie in [0, 1]")
         if not (partners >= -1).all():
@@ -408,9 +402,9 @@ def normalize_weights(raw: Sequence[float]) -> np.ndarray:
     This is the normalization contract that keeps image weights in
     ``(0, 1]``, which in turn is what bounds :func:`image_similarity` by 1.
     """
-    arr = _column(raw, np.float64, "raw weights")
-    if np.ndim(raw) != 1 or arr.size < 1:
-        raise DomainError("raw weights must be a non-empty 1-D sequence")
+    arr = _column(raw, np.float64, "raw weights", (None,))
+    if arr.size < 1:
+        raise DomainError("raw weights must be non-empty")
     if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
         raise DomainError("raw weights must be finite and positive")
     return arr / arr.max()

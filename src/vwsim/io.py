@@ -57,10 +57,9 @@ class Dataset:
             if img.image_id in seen:
                 raise ValidationError(f"duplicate image id {img.image_id!r}")
             seen.add(img.image_id)
-            if (self.vocab is not None and img.vocab is not None
-                    and int(img.word_ids.max()) >= self.vocab.size):
-                raise ValidationError(
-                    f"image {img.image_id!r} references a word id outside the vocabulary")
+            if (self.vocab is not None and img.vocab not in (None, self.vocab)
+                    and img.vocab.checksum != self.vocab.checksum):
+                raise ValidationError(f"image {img.image_id!r} uses another vocabulary than the dataset")
 
     def __len__(self) -> int:
         return len(self.images)

@@ -143,7 +143,8 @@ class PsimIndex:
     (word ``w`` owns the slice ``offsets[w]:offsets[w+1]``). The build
     threshold is stored because entries below it were discarded and queries
     under it cannot be answered. The constructor, which the builder and the
-    loader both call, takes the four arrays through :func:`core._column`.
+    loader both call, takes the four arrays through :func:`core._column`,
+    which checks that there are ``K + 1`` offsets and one similarity per id.
     """
 
     mu0_build: float
@@ -155,9 +156,13 @@ class PsimIndex:
     csr_sims: np.ndarray
 
     def __post_init__(self):
-        for name in ("frequencies", "csr_offsets", "csr_ids"):
-            object.__setattr__(self, name, _column(getattr(self, name), np.int64, name))
-        object.__setattr__(self, "csr_sims", _column(self.csr_sims, np.float64, "csr_sims"))
+        freqs = _column(self.frequencies, np.int64, "frequencies", (None,))
+        offsets = _column(self.csr_offsets, np.int64, "csr_offsets", (freqs.size + 1,))
+        ids = _column(self.csr_ids, np.int64, "csr_ids", (None,))
+        sims = _column(self.csr_sims, np.float64, "csr_sims", ids.shape)
+        for name, column in zip(("frequencies", "csr_offsets", "csr_ids", "csr_sims"),
+                                (freqs, offsets, ids, sims)):
+            object.__setattr__(self, name, column)
 
     @property
     def size(self) -> int:

@@ -49,6 +49,7 @@ def build(vocab, owner="image", **columns):
         "raw image": (ImageObject, dict(image_id="x", weights=np.ones(2), vectors=np.eye(2))),
         "vocabulary": (Vocabulary, dict(vectors=np.eye(2), frequencies=[1, 1])),
         "outcome": (MatchOutcome, dict(mu=[0.5, 0.0], partners=[0, -1])),
+        "word": (VisualWord, dict(word_id=1, vector=[1.0, 0.0], weight=1.0)),
         "index": (PsimIndex, index),
         "index.from_lists": (_from_lists, index),
     }[owner]
@@ -351,6 +352,43 @@ class TestValidation:
             assert img.word_ids.tolist() == [2, 0] and img.counts.tolist() == [3, 1]
         freqs = np.array([2 ** 63 - 1, 0], dtype=np.uint64)
         assert Vocabulary(vectors=np.eye(2), frequencies=freqs).frequencies.tolist() == [2 ** 63 - 1, 0]
+
+    @pytest.mark.parametrize("column, columns", [
+        *[(column, dict(owner=owner, **{field: bad}))
+          for column, owner, field, valid in [
+              ("weights", "raw image", "weights", [1.0, 1.0]),
+              ("image vectors", "raw image", "vectors", np.eye(2)),
+              ("word ids", "image", "word_ids", [2, 0]),
+              ("occurrence counts", "image", "counts", [1, 1]),
+              ("vocabulary vectors", "vocabulary", "vectors", np.eye(2)),
+              ("frequencies", "vocabulary", "frequencies", [1, 1]),
+              ("mu", "outcome", "mu", [0.5, 0.0]),
+              ("partners", "outcome", "partners", [0, -1]),
+              *[(name, owner, name, valid) for owner in ("index", "index.from_lists")
+                for name, valid in [("frequencies", [1, 1]), ("csr_offsets", [0, 1, 2]),
+                                    ("csr_ids", [0, 1]), ("csr_sims", [1.0, 1.0])]],
+          ]
+          # A scalar, and the valid column with an extra axis.
+          for bad in (np.asarray(valid).flat[0].item(), np.asarray(valid)[..., None])],
+        ("word ids", dict(word_ids=[2])),
+        ("occurrence counts", dict(counts=[1, 1, 1])),
+        ("partners", dict(owner="outcome", partners=[0])),
+        ("csr_offsets", dict(owner="index", csr_offsets=[0, 1])),
+        ("csr_offsets", dict(owner="index.from_lists", csr_offsets=[0, 1, 2, 2])),
+        ("csr_sims", dict(owner="index", csr_sims=[1.0])),
+        ("csr_sims", dict(owner="index.from_lists", csr_sims=[1.0, 1.0, 1.0])),
+        ("word id", dict(owner="word", word_id=[[1]])),
+        ("word weight", dict(owner="word", weight=[0.5])),
+    ])
+    def test_columns_refuse_a_wrong_shape(self, tiny_vocab, column, columns):
+        # A scalar is not a one-element column, and a column that does not
+        # align with the others would be read against the wrong words.
+        with pytest.raises(ContractError, match=f"^{column} must have shape"):
+            build(tiny_vocab, **columns)
+
+    def test_a_refused_scalar_is_named_without_an_index(self):
+        with pytest.raises(DomainError, match=r"; word id is 2\.7$"):
+            VisualWord(2.7, [1.0, 0.0], 1.0)
 
     def test_match_outcome_validation(self):
         with pytest.raises(ContractError):  # misaligned

@@ -154,6 +154,25 @@ class TestImageFiles:
         with pytest.raises(ValidationError, match="images.jsonl: duplicate image id"):
             load_images(path, vocab=tiny_vocab)
 
+    def test_dataset_refuses_an_image_of_another_vocabulary(self):
+        # Both vocabularies have two words, so the ids are in range of either.
+        v1 = Vocabulary(vectors=np.eye(2), frequencies=[1, 1])
+        v2 = Vocabulary(vectors=np.eye(2)[::-1], frequencies=[1, 1])
+        img = ImageObject("a", [1.0], word_ids=[0], vocab=v1)
+        with pytest.raises(ValidationError, match="image 'a' uses another vocabulary"):
+            Dataset((img,), vocab=v2)
+        same = Vocabulary(vectors=np.eye(2), frequencies=[1, 1])
+        assert Dataset((img,), vocab=same).images == (img,)
+
+    def test_loading_shares_the_vocabulary_without_a_checksum(self, tmp_path, tiny_vocab):
+        # Every loaded image holds the given vocabulary object, so Dataset
+        # never computes the checksum to compare them.
+        path = tmp_path / "images.jsonl"
+        rec = {"image_id": "x", "words": [{"word_id": 2, "weight": 1.0}]}
+        path.write_text(json.dumps(rec) + "\n" + json.dumps({**rec, "image_id": "y"}) + "\n")
+        assert all(img.vocab is tiny_vocab for img in load_images(path, vocab=tiny_vocab).images)
+        assert "checksum" not in vars(tiny_vocab)
+
     def test_word_without_weight_or_count(self, tmp_path):
         path = tmp_path / "images.jsonl"
         path.write_text(json.dumps({"image_id": "x", "words": [{"vector": [1.0, 0.0]}]}) + "\n")
