@@ -180,6 +180,68 @@ class VisualWord:
             object.__setattr__(self, "word_id", wid)
 
 
+# 64-bit FNV-1a (Fowler, Noll & Vo), fixed by the ``.psmi`` format.
+_FNV_BASIS = 0xCBF29CE484222325
+_FNV_PRIME = 0x100000001B3
+_FNV_CHUNK = 1 << 16  # bytes per pass of _fnv1a, which bounds its working memory
+_FNV_BLOCK = 1 << 12  # bytes per row of its power-sum matmul
+# The weights of a block's bytes, p^4096 .. p^1, and of a chunk's blocks, (p^4096)^15 .. ^0.
+_FNV_POWERS = _readonly(np.cumprod(np.full(_FNV_BLOCK, _FNV_PRIME, dtype=np.uint64))[::-1])
+_FNV_BLOCK_POWERS = _readonly(np.array([pow(_FNV_PRIME, _FNV_BLOCK * e, 1 << 64)
+                                         for e in range(_FNV_CHUNK // _FNV_BLOCK - 1, -1, -1)],
+                                        dtype=np.uint64))
+
+
+def _prefix_xor(flags: np.ndarray) -> np.ndarray:
+    """Inclusive prefix XOR of the truth of each byte of *flags*, as 0/1 bytes.
+
+    The flags are packed into 64-bit words, each word is scanned by six
+    shift-XOR doublings, and the words' parities are carried across words
+    by one exclusive ``xor.accumulate``.
+    """
+    words = np.packbits(flags, bitorder="little")
+    words = np.concatenate((words, np.zeros(-words.size % 8, np.uint8))).view("<u8")
+    for shift in (1, 2, 4, 8, 16, 32):
+        words ^= words << shift
+    parity = words >> 63
+    words ^= (np.bitwise_xor.accumulate(parity) ^ parity) * 0xFFFFFFFFFFFFFFFF
+    return np.unpackbits(words.view(np.uint8), count=flags.size, bitorder="little")
+
+
+def _fnv1a(h: int, data) -> int:
+    """The 64-bit FNV-1a state *h* after hashing the bytes of *data*.
+
+    Exact, without a per-byte loop. One step ``h <- (h ^ b) * p`` changes only
+    the low byte ``L`` of ``h`` by the XOR, so it equals ``h*p + delta*p`` with
+    ``delta = (L ^ b) - L``, and after n bytes ``h_n = h_0*p^n + sum delta_i *
+    p^(n-i)`` in wrapping ``uint64``. The low bytes follow
+    ``L' = ((L ^ b) * 0xB3) mod 256``; as 0xB3 is odd, bit k of ``L'`` is bit
+    k of ``L`` XOR a flag read from bits below k, so eight prefix-XOR passes
+    (Blelloch, CMU-CS-90-190) solve them. The power sum is one matmul per
+    chunk against ``p^4096 ... p^1``, with block sums weighted by powers of
+    ``p^4096``. The bytes go in chunks of ``_FNV_CHUNK``, the state carried
+    from one to the next.
+    """
+    data = np.frombuffer(data, dtype=np.uint8)
+    for start in range(0, data.size, _FNV_CHUNK):
+        b = data[start:start + _FNV_CHUNK]
+        n = b.size
+        low = np.zeros(n + 1, np.uint8)  # L_0 .. L_n, bit by bit
+        flags = np.empty(n + 1, np.uint8)
+        for k in range(8):
+            bit = 1 << k
+            flags[0] = h & bit  # seeds the scan with bit k of L_0
+            np.bitwise_and(b ^ ((low[:-1] ^ b) & (bit - 1)) * 0xB3, bit, out=flags[1:])
+            low |= _prefix_xor(flags) << k
+        blocks = -(-n // _FNV_BLOCK)
+        delta = np.zeros(blocks * _FNV_BLOCK, np.int64)  # zero-padded at the front
+        np.subtract(low[:-1] ^ b, low[:-1], out=delta[delta.size - n:], dtype=np.int64)
+        sums = delta.view(np.uint64).reshape(blocks, _FNV_BLOCK) @ _FNV_POWERS
+        power_sum = int(sums @ _FNV_BLOCK_POWERS[-blocks:])
+        h = (h * pow(_FNV_PRIME, n, 1 << 64) + power_sum) % (1 << 64)
+    return h
+
+
 @dataclass(frozen=True, eq=False)
 class Vocabulary:
     """A codebook of ``K`` visual words.
@@ -224,17 +286,14 @@ class Vocabulary:
 
     @cached_property
     def checksum(self) -> int:
-        """64-bit FNV-1a over the canonical serialized entries."""
-        h = 0xCBF29CE484222325
-        prime = 0x100000001B3
-        mask = 0xFFFFFFFFFFFFFFFF
+        """64-bit FNV-1a over the canonical payload: ``u32`` K, ``u32`` d, then
+        per word in id order ``u32`` id, ``u64`` frequency and d ``f64``, all
+        little-endian."""
         records = np.rec.fromarrays(
             [np.arange(self.size), self.frequencies, self.vectors],
             dtype=[("id", "<u4"), ("frequency", "<u8"), ("vector", "<f8", (self.dimension,))])
-        payload = np.array([self.size, self.dimension], dtype="<u4").tobytes() + records.tobytes()
-        for byte in payload:
-            h = ((h ^ byte) * prime) & mask
-        return h
+        prefix = np.array([self.size, self.dimension], dtype="<u4")
+        return _fnv1a(_fnv1a(_FNV_BASIS, prefix), records)
 
 
 @dataclass(frozen=True, eq=False)

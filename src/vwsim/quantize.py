@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import ImageObject, Vocabulary, normalize_weights, unit_rows
+from .core import ImageObject, Vocabulary, _column, normalize_weights, unit_rows
 from .errors import DomainError
 from .io import Dataset
 
@@ -80,7 +80,7 @@ def _count_images(image_ids: Sequence[str], id_sets: Sequence[np.ndarray],
 def assign_words(vocab: Vocabulary, features: np.ndarray) -> np.ndarray:
     """Nearest vocabulary word (by cosine) per descriptor row; ties take the
     smallest word id."""
-    points = unit_rows(np.asarray(features, dtype=np.float64))
+    points = unit_rows(_column(features, np.float64, "feature set", (None, None)))
     if points.shape[1] != vocab.dimension:
         raise DomainError(
             f"descriptor dimension {points.shape[1]} != vocabulary dimension {vocab.dimension}")
@@ -147,8 +147,8 @@ def kmeans_quantize(feature_sets: Sequence[np.ndarray], k: int, seed: int,
     """
     if k < 1:
         raise DomainError(f"need k >= 1 words, got {k}")
-    mats = [np.asarray(f, dtype=np.float64) for f in feature_sets]
-    if not mats or any(m.ndim != 2 or m.shape[0] < 1 for m in mats):
+    mats = [_column(f, np.float64, "feature set", (None, None)) for f in feature_sets]
+    if not mats or any(m.shape[0] < 1 for m in mats):
         raise DomainError("feature sets must be non-empty (n_i, d) arrays")
     dims = {m.shape[1] for m in mats}
     if len(dims) != 1:

@@ -86,3 +86,13 @@ def huffman_cost_reference(frequencies):
         total += a + b
         nodes.append(a + b)
     return total
+
+
+FNV1A_64_BASIS = 0xCBF29CE484222325
+
+
+def fnv1a_64(data, h=FNV1A_64_BASIS):
+    """64-bit FNV-1a of the bytes of *data*, one byte at a time, from state *h*."""
+    for byte in bytes(data):
+        h = ((h ^ byte) * 0x100000001B3) % 2**64
+    return h

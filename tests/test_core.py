@@ -1,10 +1,12 @@
 import math
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import random_raw_image, random_vocab, random_vocab_image
-from oracles import similarity_reference
+from oracles import FNV1A_64_BASIS, fnv1a_64, similarity_reference
 
 from vwsim import (
     ContractError,
@@ -25,6 +27,7 @@ from vwsim import (
     smin_match,
     smin_similarity,
 )
+from vwsim.core import _fnv1a, unit_rows
 
 
 def make_raw_image(name, vectors, weights):
@@ -500,3 +503,45 @@ class TestTypes:
         assert v1.checksum != v2.checksum
         same = Vocabulary(vectors=v1.vectors, frequencies=v1.frequencies)
         assert same.checksum == v1.checksum
+
+
+class TestChecksum:
+    # Lengths on each side of the 64-bit word, the 4096-byte power block and
+    # the 64 KiB chunk of core._fnv1a.
+    @pytest.mark.parametrize("length", [0, 1, 63, 64, 65, 4095, 4096, 4097,
+                                        65535, 65536, 65537, 100_003])
+    def test_fnv1a_matches_the_byte_loop(self, length):
+        data = np.random.RandomState(length).randint(0, 256, length).astype(np.uint8)
+        assert _fnv1a(FNV1A_64_BASIS, data) == fnv1a_64(data)
+
+    @pytest.mark.parametrize("byte", [0x00, 0xFF, 0xB3])
+    def test_fnv1a_on_constant_payloads(self, byte):
+        data = bytes([byte]) * 70_001
+        assert _fnv1a(FNV1A_64_BASIS, data) == fnv1a_64(data)
+
+    @pytest.mark.parametrize("state", [0, 1, 0xFF, 0x0123456789ABCDEF, 2**64 - 1])
+    def test_fnv1a_from_another_state(self, state):
+        data = np.random.RandomState(state % 2**32).randint(0, 256, 70_001).astype(np.uint8)
+        assert _fnv1a(state, data) == fnv1a_64(data, state)
+
+    @pytest.mark.parametrize("size, dim", [(1, 1), (1, 5), (7, 3), (1024, 16), (4096, 8)])
+    def test_vocabulary_checksum_hashes_the_canonical_payload(self, size, dim):
+        rng = np.random.RandomState(size + dim)
+        vocab = Vocabulary(vectors=unit_rows(rng.standard_normal((size, dim))),
+                           frequencies=np.r_[2**62, rng.randint(0, 2**62, size - 1, dtype=np.int64)])
+        payload = struct.pack("<II", size, dim) + b"".join(
+            struct.pack(f"<IQ{dim}d", i, freq, *vec)
+            for i, (freq, vec) in enumerate(zip(vocab.frequencies.tolist(), vocab.vectors.tolist())))
+        assert vocab.checksum == fnv1a_64(payload)
+
+    def test_checksum_works_in_bounded_memory(self):
+        # K = 10 000, d = 16 is a 1.4 MB payload; hashed in one pass, its
+        # temporaries would peak near 28 MiB.
+        vocab = random_vocab(np.random.RandomState(10_016), 10_000, 16)
+        tracemalloc.start()
+        try:
+            vocab.checksum
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20

@@ -229,7 +229,7 @@ class TestSharedNormalizationPath:
         for bad in ([1.0, 0.0, 0.0], np.ones((2, 2, 3)), 1.0):
             with pytest.raises(ContractError, match="2-D matrix of rows"):
                 unit_rows(bad)
-        with pytest.raises(ContractError, match="2-D matrix of rows"):
+        with pytest.raises(ContractError, match="feature set must have shape"):
             assign_words(tiny_vocab, [1.0, 0.0])
 
     def test_vocabulary_unit_matrix_matches_single_vector_path(self):

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from vwsim import Dataset, DomainError, ImageObject, assign_words, kmeans_quantize, tfidf_weights
+from vwsim import (ContractError, Dataset, DomainError, ImageObject, assign_words, kmeans_quantize,
+                   tfidf_weights)
 from vwsim.quantize import _spherical_kmeans
 
 
@@ -158,3 +159,19 @@ class TestAssign:
     def test_dimension_mismatch(self, tiny_vocab):
         with pytest.raises(DomainError):
             assign_words(tiny_vocab, np.array([[1.0, 0.0, 0.0]]))
+
+
+class TestFeatureSetIntake:
+    @pytest.mark.parametrize("call", [
+        lambda features, vocab: kmeans_quantize([features], 1, seed=0),
+        lambda features, vocab: assign_words(vocab, features),
+    ], ids=["kmeans_quantize", "assign_words"])
+    @pytest.mark.parametrize("features, error, message", [
+        ([["1.0", "0"], ["0", "1"]], DomainError, r"feature set\[0, 0\] is '1.0'"),
+        ([[True, False], [False, True]], DomainError, r"feature set\[0, 0\] is True"),
+        ([1.0, 0.0], ContractError, r"feature set must have shape \(any, any\), got \(2,\)"),
+    ])
+    def test_refuses_strings_bools_and_a_rank_one_set(self, tiny_vocab, call, features, error,
+                                                     message):
+        with pytest.raises(error, match=message):
+            call(features, tiny_vocab)
