@@ -24,7 +24,7 @@ with tempfile.TemporaryDirectory() as tmp:
     root = Path(tmp)
     save_vocabulary(dataset.vocab, root / "vocabulary.jsonl")
     save_images(dataset, root / "images.jsonl")
-    save_images(Dataset(images=queries, vocab=dataset.vocab), root / "queries.jsonl")
+    save_images(Dataset.from_images(queries, vocab=dataset.vocab), root / "queries.jsonl")
     save_truth(truth, root / "truth.json")
 
     rows = run_hitrate(HitRateConfig(

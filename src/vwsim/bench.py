@@ -214,14 +214,15 @@ def run_hitrate(cfg: HitRateConfig) -> list[dict]:
     row's perturbation level, rank every dataset image by similarity with
     the query as the first argument (ties broken by image id), and count a
     hit when the source lands in the top k. psmi scores each query against
-    the whole dataset in one :func:`~vwsim.psmi.search` pass; the other
-    algorithms score one image at a time.
+    the whole dataset in one :func:`~vwsim.psmi.search` pass over the
+    dataset's columns, and builds an image object only for each source and
+    each query; the other algorithms score one image at a time.
     """
     dataset, truth = _load_benchmark(cfg.data_dir)
     if not truth:
         raise DomainError("ground-truth duplicate map is empty")
-    images = dataset.images
-    position = {img.image_id: i for i, img in enumerate(images)}
+    image_ids = dataset.image_ids
+    position = {image_id: i for i, image_id in enumerate(image_ids)}
     source_ids = sorted(set(truth.values()))
     missing = [s for s in source_ids if s not in position]
     if missing:
@@ -232,6 +233,7 @@ def run_hitrate(cfg: HitRateConfig) -> list[dict]:
     rng = np.random.RandomState(cfg.seed)
     picked = rng.choice(len(source_ids), size=cfg.query_count, replace=False)
     sources = [position[source_ids[int(i)]] for i in picked]
+    source_images = [dataset.image(src) for src in sources]
 
     if cfg.algorithm == "psmi":
         index = build_psmi_index(dataset.vocab, cfg.mu0)
@@ -239,12 +241,12 @@ def run_hitrate(cfg: HitRateConfig) -> list[dict]:
         scores = lambda query: search(query, corpus, cfg.mu0, index)
     else:
         score = SCORERS[cfg.algorithm]
-        scores = lambda query: np.array([score(query, img, cfg.mu0, None) for img in images])
+        scores = lambda query: np.array([score(query, img, cfg.mu0, None) for img in dataset.images])
 
-    mean_words = int(round(sum(img.word_count for img in images) / len(images)))
+    mean_words = int(round(dataset.weights.size / len(dataset)))
     # Dataset positions in image-id order: a stable sort of the negated
     # scores in this order breaks ties by image id.
-    id_order = np.array(sorted(range(len(images)), key=lambda i: images[i].image_id))
+    id_order = np.array(sorted(range(len(dataset)), key=image_ids.__getitem__))
 
     def query_hit(query: ImageObject, source: int) -> bool:
         ranked = id_order[np.argsort(-scores(query)[id_order], kind="stable")]
@@ -252,8 +254,8 @@ def run_hitrate(cfg: HitRateConfig) -> list[dict]:
 
     rows = []
     for rho in cfg.rho_grid:
-        hits = sum(query_hit(perturb_image(images[src], rho, rng, image_id=f"query{qi:06d}"), src)
-                   for qi, src in enumerate(sources))
-        rows.append({"rho": rho, "m": mean_words, "dataset_size": len(images),
+        hits = sum(query_hit(perturb_image(image, rho, rng, image_id=f"query{qi:06d}"), src)
+                   for qi, (image, src) in enumerate(zip(source_images, sources)))
+        rows.append({"rho": rho, "m": mean_words, "dataset_size": len(dataset),
                      "algo": cfg.algorithm, "hit_rate": hits / cfg.query_count})
     return rows

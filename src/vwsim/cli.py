@@ -54,8 +54,8 @@ def _write_csv(rows, columns, csv_path) -> None:
 
 def cmd_sim(args) -> int:
     vocab = load_vocabulary(args.vocab) if args.vocab else None
-    a = load_images(args.image_a, vocab=vocab).images[0]
-    b = load_images(args.image_b, vocab=vocab).images[0]
+    a = load_images(args.image_a, vocab=vocab).image(0)
+    b = load_images(args.image_b, vocab=vocab).image(0)
     index = load_psmi(args.index, vocab=vocab) if args.algo == "psmi" else None
     score = SCORERS[args.algo](a, b, args.mu0, index)
     print(f"{score:.6f}")
@@ -114,7 +114,7 @@ def cmd_gen(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     save_vocabulary(dataset.vocab, out / "vocabulary.jsonl")
     save_images(dataset, out / "images.jsonl")
-    save_images(Dataset(images=queries, vocab=dataset.vocab), out / "queries.jsonl")
+    save_images(Dataset.from_images(queries, vocab=dataset.vocab), out / "queries.jsonl")
     save_truth(truth, out / "truth.json")
     print(f"generated {len(dataset)} images, {len(queries)} duplicate queries, "
           f"vocabulary of {dataset.vocab.size} words into {out} (seed {args.seed})")

@@ -12,6 +12,7 @@ any number of evaluations may run concurrently.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
@@ -96,15 +97,19 @@ def _word_id(value) -> int:
     return int(_column(value, np.int64, "word id", ()))
 
 
-def _squared_norms(matrix: np.ndarray, what: str) -> np.ndarray:
+def _squared_norms(matrix: np.ndarray, what) -> np.ndarray:
     """Squared row norms, refusing any that is not finite and positive.
 
     This is the one test of a row that can be normalized: a zero, non-finite,
     overflowing or underflowing row would otherwise silently match nothing.
+    *what* names the matrix, or is a function from the first refused row to
+    the name of its owner.
     """
     sq = np.einsum("ij,ij->i", matrix, matrix)
-    if not np.all((sq > 0.0) & (sq < np.inf)):
-        raise DomainError(f"{what} has a zero vector, or one whose squared norm is 0 or non-finite")
+    normalizable = (sq > 0.0) & (sq < np.inf)
+    if not normalizable.all():
+        name = what(int(normalizable.argmin())) if callable(what) else what
+        raise DomainError(f"{name} has a zero vector, or one whose squared norm is 0 or non-finite")
     return sq
 
 
@@ -296,6 +301,63 @@ class Vocabulary:
         return _fnv1a(_fnv1a(_FNV_BASIS, prefix), records)
 
 
+def _image_columns(image_ids: tuple, offsets, weights, word_ids, vectors, counts,
+                   vocab: Optional[Vocabulary]) -> tuple:
+    """Every image rule, checked once over the flat word columns of any number of images.
+
+    Image ``i`` is named ``image_ids[i]`` and owns words
+    ``offsets[i]:offsets[i+1]`` of the columns; ``offsets=None`` is one image
+    of all the words. Each column enters through :func:`_column`, and each
+    rule is one reduction over all words whose failure names the image of
+    the first word refused. :class:`ImageObject` checks one image here and
+    ``io.Dataset`` a whole corpus, so each rule is written once. Returns
+    ``(offsets, weights, word_ids, vectors, counts)`` as made by ``_column``.
+    """
+    for image_id in image_ids:
+        if not isinstance(image_id, str) or not image_id:
+            raise DomainError(f"image_id must be a non-empty string, got {image_id!r}")
+    if len(set(image_ids)) < len(image_ids):
+        repeated = next(i for i, n in Counter(image_ids).items() if n > 1)
+        raise DomainError(f"duplicate image id {repeated!r}")
+    raw = vocab is None
+    if (vectors is None) == raw or (word_ids is None) != raw:
+        raise ContractError(f"image {image_ids[0]!r} must hold either inline vectors, "
+                            "or word ids with their vocabulary, not both")
+    weights = _column(weights, np.float64, "weights", (None,))
+    n_words = weights.size
+    if offsets is None:
+        lengths = (n_words,)
+    else:
+        offsets = _column(offsets, np.int64, "offsets", (len(image_ids) + 1,))
+        if offsets[0] != 0 or offsets[-1] != n_words:
+            raise ContractError(f"offsets must run from 0 to the {n_words} words")
+        lengths = np.diff(offsets).tolist()
+    if min(lengths) < 1:
+        raise DomainError(f"image {image_ids[lengths.index(min(lengths))]!r} has no words")
+
+    def owner(word: int) -> str:
+        if offsets is None:
+            return image_ids[0]
+        return image_ids[int(np.searchsorted(offsets, word, side="right")) - 1]
+
+    def refuse(bad: np.ndarray, message: str) -> None:
+        if bad.any():
+            raise DomainError(message.format(owner(int(bad.argmax()))))
+
+    refuse(~((weights > 0.0) & (weights <= 1.0)), "image {!r}: weights must be in (0, 1]")
+    if raw:
+        vectors = _column(vectors, np.float64, "image vectors", (n_words, None))
+        _squared_norms(vectors, lambda row: f"image {owner(row)!r}")
+    else:
+        word_ids = _column(word_ids, np.int64, "word ids", (n_words,))
+        refuse(word_ids < 0, "word ids must be non-negative")
+        refuse(word_ids >= vocab.size, "image {!r}: word id outside vocabulary")
+    if counts is not None:
+        counts = _column(counts, np.int64, "occurrence counts", (n_words,))
+        refuse(counts < 1, "occurrence counts must be >= 1")
+    return offsets, weights, word_ids, vectors, counts
+
+
 @dataclass(frozen=True, eq=False)
 class ImageObject:
     """An image identifier plus an ordered sequence of weighted visual words.
@@ -310,8 +372,9 @@ class ImageObject:
       index is built over one vocabulary.
 
     An image has a non-empty string id and at least one word, and its inline
-    vectors can be normalized. This constructor is the one place these
-    rules are checked, so no loader, matcher or scorer re-checks them.
+    vectors can be normalized. The constructor checks these rules through
+    :func:`_image_columns`, as the one-image case of a dataset's check, so
+    no loader, matcher or scorer re-checks them.
     """
 
     image_id: str
@@ -322,37 +385,13 @@ class ImageObject:
     counts: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        if not isinstance(self.image_id, str) or not self.image_id:
-            raise DomainError(f"image_id must be a non-empty string, got {self.image_id!r}")
-        raw = self.vocab is None
-        if (self.vectors is None) == raw or (self.word_ids is None) != raw:
-            raise ContractError(f"image {self.image_id!r} must hold either inline vectors, "
-                                "or word ids with their vocabulary, not both")
-        weights = _column(self.weights, np.float64, "weights", (None,))
-        m = weights.size
-        if m < 1:
-            raise DomainError(f"image {self.image_id!r} has no words")
-        if not ((weights > 0.0) & (weights <= 1.0)).all():
-            raise DomainError(f"image {self.image_id!r}: weights must be in (0, 1]")
+        _, weights, word_ids, vectors, counts = _image_columns(
+            (self.image_id,), None, self.weights, self.word_ids, self.vectors, self.counts,
+            self.vocab)
         object.__setattr__(self, "weights", weights)
-
-        if raw:
-            vecs = _column(self.vectors, np.float64, "image vectors", (m, None))
-            _squared_norms(vecs, f"image {self.image_id!r}")
-            object.__setattr__(self, "vectors", vecs)
-        else:
-            ids = _column(self.word_ids, np.int64, "word ids", (m,))
-            if (ids < 0).any():
-                raise DomainError("word ids must be non-negative")
-            if int(ids.max()) >= self.vocab.size:
-                raise DomainError(f"image {self.image_id!r}: word id outside vocabulary")
-            object.__setattr__(self, "word_ids", ids)
-
-        if self.counts is not None:
-            counts = _column(self.counts, np.int64, "occurrence counts", (m,))
-            if (counts < 1).any():
-                raise DomainError("occurrence counts must be >= 1")
-            object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "word_ids", word_ids)
+        object.__setattr__(self, "vectors", vectors)
+        object.__setattr__(self, "counts", counts)
 
     @classmethod
     def from_words(cls, image_id: str, words: Sequence[VisualWord],

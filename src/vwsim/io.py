@@ -4,10 +4,11 @@ Text formats are JSON-lines: one vocabulary entry or one image per line,
 named fields, floats written as shortest round-trip decimals. The offline
 index uses a fixed little-endian binary layout. All save/load pairs are
 exact inverses. The text loaders hand the parsed JSON values, unconverted,
-to the :class:`Vocabulary` / :class:`ImageObject` constructors, which apply
-every value rule; every loader error is a :class:`ValidationError` (or the
-:class:`FormatError` / :class:`CompatibilityError` subclasses) naming the
-file, and the line for a problem in one image record.
+to the :class:`Vocabulary` / :class:`Dataset` constructors, which apply
+every value rule; an image file is gathered into flat columns and checked
+once over all its words. Every loader error is a :class:`ValidationError`
+(or the :class:`FormatError` / :class:`CompatibilityError` subclasses)
+naming the file, and the line for a problem in one image record.
 
 Feature extraction from real images is out of scope: raw-feature files
 (images whose words carry inline vectors) are the ingestion boundary.
@@ -18,13 +19,15 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import dataclass
+from functools import cached_property
+from operator import itemgetter
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from .core import ImageObject, Vocabulary, normalize_weights
-from .errors import CompatibilityError, FormatError, ValidationError
+from .core import ImageObject, Vocabulary, _image_columns, normalize_weights
+from .errors import CompatibilityError, ContractError, DomainError, FormatError, ValidationError
 from .psmi import PsimIndex
 
 __all__ = [
@@ -45,24 +48,83 @@ PSMI_VERSION = 1
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """A collection of images, optionally tied to one vocabulary."""
+    """A corpus of images, stored as flat word columns.
 
-    images: tuple[ImageObject, ...]
+    Image ``i`` is named ``image_ids[i]`` and owns words
+    ``offsets[i]:offsets[i+1]`` of ``weights``, of ``counts`` (every image
+    has occurrence counts or none does), and of either ``word_ids`` with
+    ``vocab`` or ``vectors`` with no ``vocab``. So a dataset holds one kind
+    of image and at most one vocabulary, as an :class:`ImageObject` does.
+    The constructor checks every image rule once over all words, plus unique
+    ids and at least one image. :meth:`image` and :attr:`images` build
+    image objects from the columns on demand.
+    """
+
+    image_ids: tuple[str, ...]
+    offsets: np.ndarray
+    weights: np.ndarray
+    word_ids: Optional[np.ndarray] = None
+    vectors: Optional[np.ndarray] = None
+    counts: Optional[np.ndarray] = None
     vocab: Optional[Vocabulary] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "images", tuple(self.images))
-        seen = set()
-        for img in self.images:
-            if img.image_id in seen:
-                raise ValidationError(f"duplicate image id {img.image_id!r}")
-            seen.add(img.image_id)
-            if (self.vocab is not None and img.vocab not in (None, self.vocab)
-                    and img.vocab.checksum != self.vocab.checksum):
+        image_ids = tuple(self.image_ids)
+        if not image_ids:
+            raise DomainError("a dataset needs at least one image")
+        columns = _image_columns(image_ids, self.offsets, self.weights, self.word_ids,
+                                 self.vectors, self.counts, self.vocab)
+        names = ("image_ids", "offsets", "weights", "word_ids", "vectors", "counts")
+        for name, value in zip(names, (image_ids, *columns)):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def from_images(cls, images, vocab: Optional[Vocabulary] = None) -> "Dataset":
+        """The images' columns back to back; *vocab* defaults to the first image's.
+
+        Refuses images of more than one kind (raw or vocabulary-backed, with
+        counts or without, of one dimension), and a vocabulary-backed image
+        whose vocabulary has another checksum than the dataset's.
+        """
+        images = tuple(images)
+        if not images:
+            raise DomainError("a dataset needs at least one image")
+        first = images[0]
+        if vocab is None:
+            vocab = first.vocab
+        for img in images:
+            if ((img.vocab is None) != (vocab is None) or (img.counts is None) != (first.counts is None)
+                    or img.dimension != first.dimension):
+                raise ContractError(f"image {img.image_id!r} is not of the dataset's kind: a dataset "
+                                    "holds raw or vocabulary-backed images of one dimension, "
+                                    "all with occurrence counts or none")
+            if img.vocab not in (None, vocab) and img.vocab.checksum != vocab.checksum:
                 raise ValidationError(f"image {img.image_id!r} uses another vocabulary than the dataset")
 
+        def column(name: str) -> Optional[np.ndarray]:
+            parts = [getattr(img, name) for img in images]
+            return None if parts[0] is None else np.concatenate(parts)
+
+        return cls([img.image_id for img in images],
+                   np.cumsum([0] + [img.word_count for img in images]),
+                   column("weights"), column("word_ids"), column("vectors"), column("counts"), vocab)
+
     def __len__(self) -> int:
-        return len(self.images)
+        return len(self.image_ids)
+
+    def image(self, i: int) -> ImageObject:
+        """Image *i*, built from its slice of the columns."""
+        i = range(len(self))[i]
+        lo, hi = self.offsets[i], self.offsets[i + 1]
+        cut = lambda column: None if column is None else column[lo:hi]
+        return ImageObject(self.image_ids[i], cut(self.weights), word_ids=cut(self.word_ids),
+                           vectors=cut(self.vectors), vocab=self.vocab, counts=cut(self.counts))
+
+    @cached_property
+    def images(self) -> tuple[ImageObject, ...]:
+        """Every image, built on first access."""
+        return tuple(map(self.image, range(len(self))))
+
 
 
 def save_vocabulary(vocab: Vocabulary, path) -> None:
@@ -106,71 +168,131 @@ def load_vocabulary(path) -> Vocabulary:
         raise ValidationError(f"{path}: {exc}") from exc
 
 
-def _word_record(img: ImageObject, i: int) -> dict:
-    rec: dict = {}
-    if img.word_ids is not None:
-        rec["word_id"] = int(img.word_ids[i])
-    else:
-        rec["vector"] = img.vectors[i].tolist()
-    rec["weight"] = float(img.weights[i])
-    if img.counts is not None:
-        rec["count"] = int(img.counts[i])
-    return rec
-
-
 def save_images(dataset: Dataset, path) -> None:
+    columns = {"word_id": dataset.word_ids, "vector": dataset.vectors,
+               "weight": dataset.weights, "count": dataset.counts}
+    columns = {field: column for field, column in columns.items() if column is not None}
+    bounds = dataset.offsets.tolist()
     lines = []
-    for img in dataset.images:
-        words = [_word_record(img, i) for i in range(img.word_count)]
-        lines.append(json.dumps({"image_id": img.image_id, "words": words}))
+    for image_id, lo, hi in zip(dataset.image_ids, bounds, bounds[1:]):
+        words = zip(*(column[lo:hi].tolist() for column in columns.values()))
+        lines.append(json.dumps({"image_id": image_id,
+                                 "words": [dict(zip(columns, word)) for word in words]}))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _parse_image(rec: dict, vocab: Optional[Vocabulary], where: str) -> ImageObject:
-    """Parse one record into columns; the ImageObject constructor validates them."""
+# The word fields of an image record, in the order their mixing is checked.
+_WORD_FIELDS = ("word_id", "vector", "count", "weight")
+
+
+def _record_columns(rec: dict, where: str) -> tuple[str, dict[str, list]]:
+    """One image record's id, and its words' fields as columns of parsed JSON values.
+
+    A record's words all hold the same fields, with a weight or a count, and
+    ids and counts are JSON integers; a missing weight is derived from the
+    counts. Every other value rule is left to :class:`Dataset`.
+    """
     image_id = rec["image_id"]
     words = rec["words"]
     if not isinstance(words, list) or not words:
         raise ValidationError(f"{where}: image {image_id!r} has no words")
-
-    for key in ("word_id", "vector", "count", "weight"):
-        if 0 < sum(key in w for w in words) < len(words):
-            raise ValidationError(f"{where}: image {image_id!r} mixes words with and without {key!r}")
-    if "weight" not in words[0] and "count" not in words[0]:
+    held = set().union(*words)
+    columns = {}
+    for field in _WORD_FIELDS:
+        if field in held:
+            try:
+                columns[field] = list(map(itemgetter(field), words))
+            except KeyError:
+                raise ValidationError(
+                    f"{where}: image {image_id!r} mixes words with and without {field!r}") from None
+    if "weight" not in columns and "count" not in columns:
         raise ValidationError(f"{where}: image {image_id!r}: words need a weight or a count")
+    for field in ("count", "word_id"):
+        values = columns.get(field, ())
+        if set(map(type, values)) - {int}:
+            _json_int(next(v for v in values if type(v) is not int))
+    if "weight" not in columns:
+        columns["weight"] = normalize_weights(columns["count"]).tolist()
+    return image_id, columns
 
-    counts = [_json_int(w["count"]) for w in words] if "count" in words[0] else None
-    weights = [w["weight"] for w in words] if "weight" in words[0] else normalize_weights(counts)
-    ids = [_json_int(w["word_id"]) for w in words] if "word_id" in words[0] else None
-    if ids is not None and vocab is None:
-        raise ValidationError(f"{where}: image {image_id!r} uses word ids but no vocabulary was given")
-    return ImageObject(image_id=image_id, weights=weights, counts=counts, word_ids=ids,
-                       vectors=[w["vector"] for w in words] if "vector" in words[0] else None,
-                       vocab=None if ids is None else vocab)
+
+def _fields(form: tuple[str, ...]) -> str:
+    return ", ".join(map(repr, form)) or "none of 'word_id', 'vector' and 'count'"
+
+
+def _refuse_first_bad_record(path, lines: list[int], image_ids: list, offsets: np.ndarray,
+                             columns: dict, vocab: Optional[Vocabulary]) -> None:
+    """Raise for the first record that is not a valid image alone, naming its line.
+
+    So does a record whose vectors differ in length from the first record's.
+    Returns when every record is valid alone and of one length.
+    """
+    for i, lineno in enumerate(lines):
+        lo, hi = offsets[i], offsets[i + 1]
+        words = {name: column[lo:hi] for name, column in columns.items() if column is not None}
+        try:
+            img = ImageObject(image_ids[i], vocab=vocab, **words)
+        except ValueError as exc:
+            raise ValidationError(f"{path}: line {lineno}: {exc}") from exc
+        if i == 0:
+            dimension = img.dimension
+        elif img.dimension != dimension:
+            raise ValidationError(f"{path}: line {lineno}: image {img.image_id!r} has vectors of length "
+                                  f"{img.dimension}, but the file's first image has length {dimension}")
 
 
 def load_images(path, vocab: Optional[Vocabulary] = None) -> Dataset:
-    text = Path(path).read_text(encoding="utf-8")
-    images = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        where = f"{path}: line {lineno}"
-        try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{where}: not valid JSON ({exc})") from exc
-        try:
-            images.append(_parse_image(rec, vocab, where))
-        except ValidationError:
-            raise
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise ValidationError(f"{where}: malformed image record ({exc})") from exc
-    if not images:
+    """A :class:`Dataset` of the image records in a JSON-lines file.
+
+    The records' fields are gathered into flat columns line by line, and the
+    ``Dataset`` constructor checks every image rule once over all of them.
+    Every record holds the same kind of words as the first: word ids (which
+    need *vocab*) or inline vectors, with counts or without; *vocab* is
+    kept only for word ids. A refusal names the file and, when a record is
+    at fault, the line of the first such record.
+    """
+    image_ids, lines, lengths, flat = [], [], [], {}
+    first_form = None
+    with open(path, encoding="utf-8") as text:
+        for lineno, line in enumerate(text, start=1):
+            if not line.strip():
+                continue
+            where = f"{path}: line {lineno}"
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValidationError(f"{where}: not valid JSON ({exc})") from exc
+            try:
+                image_id, columns = _record_columns(rec, where)
+            except ValidationError:
+                raise
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
+                raise ValidationError(f"{where}: malformed image record ({exc})") from exc
+            form = tuple(field for field in ("word_id", "vector", "count") if field in columns)
+            if first_form is None:
+                first_form = form
+                if "word_id" in form and vocab is None:
+                    raise ValidationError(
+                        f"{where}: image {image_id!r} uses word ids but no vocabulary was given")
+            elif form != first_form:
+                raise ValidationError(f"{where}: image {image_id!r} has words with {_fields(form)}, "
+                                      f"but the file's first image has words with "
+                                      f"{_fields(first_form)}; a file holds one kind of image")
+            image_ids.append(image_id)
+            lines.append(lineno)
+            lengths.append(len(columns["weight"]))
+            for field, values in columns.items():
+                flat.setdefault(field, []).extend(values)
+    if not image_ids:
         raise ValidationError(f"{path}: image file has no records")
+    offsets = np.cumsum([0] + lengths)
+    columns = dict(weights=flat["weight"], word_ids=flat.get("word_id"), vectors=flat.get("vector"),
+                   counts=flat.get("count"))
+    vocab = vocab if "word_id" in first_form else None
     try:
-        return Dataset(images=tuple(images), vocab=vocab)
-    except ValidationError as exc:
+        return Dataset(image_ids, offsets, vocab=vocab, **columns)
+    except ValueError as exc:
+        _refuse_first_bad_record(path, lines, image_ids, offsets, columns, vocab)
         raise ValidationError(f"{path}: {exc}") from exc
 
 

@@ -309,7 +309,8 @@ class Corpus:
     ``totals`` holds each image's weight sum. ``postings`` lists every
     position sorted by (word, image, position): word ``w``'s postings are
     ``postings[word_offsets[w]:word_offsets[w+1]]``. Build it once per
-    dataset with :meth:`from_dataset`.
+    dataset with :meth:`from_dataset`, whose word ids, weights and offsets
+    it shares.
     """
 
     vocab_checksum: int
@@ -323,30 +324,20 @@ class Corpus:
 
     @classmethod
     def from_dataset(cls, dataset: "Dataset") -> "Corpus":
-        """Concatenate the dataset's images, which must share one vocabulary."""
-        images = dataset.images
-        if not images:
-            raise DomainError("a corpus needs at least one image")
-        if any(img.vocab is None for img in images):
+        """A view of a vocabulary-backed dataset's columns, plus its postings."""
+        if dataset.vocab is None:
             raise PreconditionError(_UNBACKED)
-        if len({img.vocab.checksum for img in images}) != 1:
-            raise PreconditionError("corpus images come from different vocabularies")
-        vocab = images[0].vocab
-        lengths = np.array([img.word_count for img in images], dtype=np.int64)
-        weights = np.concatenate([img.weights for img in images])
-        word_ids = np.concatenate([img.word_ids for img in images])
+        word_ids, weights, offsets = dataset.word_ids, dataset.weights, dataset.offsets
+        lengths = np.diff(offsets)
         arrays = dict(
-            word_ids=word_ids,
-            weights=weights,
-            offsets=np.concatenate(([0], np.cumsum(lengths))),
             owners=np.repeat(np.arange(lengths.size), lengths),
             totals=_segment_sums(weights, lengths),
             postings=np.argsort(word_ids, kind="stable"),
             word_offsets=np.concatenate(
-                ([0], np.cumsum(np.bincount(word_ids, minlength=vocab.size)))),
+                ([0], np.cumsum(np.bincount(word_ids, minlength=dataset.vocab.size)))),
         )
-        return cls(vocab_checksum=vocab.checksum,
-                   **{name: _readonly(arr) for name, arr in arrays.items()})
+        return cls(vocab_checksum=dataset.vocab.checksum, word_ids=word_ids, weights=weights,
+                   offsets=offsets, **{name: _readonly(arr) for name, arr in arrays.items()})
 
     @property
     def size(self) -> int:

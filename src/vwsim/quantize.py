@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import ImageObject, Vocabulary, _column, normalize_weights, unit_rows
+from .core import Vocabulary, _column, normalize_weights, unit_rows
 from .errors import DomainError
 from .io import Dataset
 
@@ -30,51 +30,45 @@ def tfidf_weights(dataset: Dataset) -> Dataset:
     with ``N`` the corpus size and ``df`` the number of images containing the
     word; weights are then scaled so each image's maximum is exactly 1.
     Repeated word ids within an image are aggregated into counts first.
-    Requires at least one image, and vocabulary-backed images with
-    occurrence counts.
+    Requires vocabulary-backed images with occurrence counts.
     """
-    n_images = len(dataset.images)
-    if not n_images:
-        raise DomainError("tf-idf needs at least one image")
+    if dataset.vocab is None:
+        raise DomainError("the dataset's images have no word ids; tf-idf needs word identity")
+    if dataset.counts is None:
+        raise DomainError("the dataset's images have no occurrence counts")
+    bounds = dataset.offsets.tolist()
     aggregated = []
-    for img in dataset.images:
-        if img.vocab is None:
-            raise DomainError(f"image {img.image_id!r} has no word ids; tf-idf needs word identity")
-        if img.counts is None:
-            raise DomainError(f"image {img.image_id!r} has no occurrence counts")
-        ids, counts = img.word_ids, img.counts
+    for lo, hi in zip(bounds, bounds[1:]):
+        ids, counts = dataset.word_ids[lo:hi], dataset.counts[lo:hi]
         if np.unique(ids).size != ids.size:
             ids, inverse = np.unique(ids, return_inverse=True)
             counts = np.zeros(ids.size, dtype=np.int64)
-            np.add.at(counts, inverse, img.counts)
-        aggregated.append((img, ids, counts))
+            np.add.at(counts, inverse, dataset.counts[lo:hi])
+        aggregated.append((ids, counts))
+    ids, counts = (np.concatenate(column) for column in zip(*aggregated))
 
     # idf by ``math.log`` (``np.log`` is an ulp off on some arguments), once
     # per distinct document frequency, gathered back to each occurrence.
-    all_ids = np.concatenate([ids for _, ids, _ in aggregated])
-    _, word_of, df = np.unique(all_ids, return_inverse=True, return_counts=True)
+    _, word_of, df = np.unique(ids, return_inverse=True, return_counts=True)
     levels, level_of = np.unique(df[word_of], return_inverse=True)
-    idf = np.array([math.log(1.0 + n_images / v) for v in levels.tolist()])[level_of]
-    idf_sets = np.split(idf, np.cumsum([ids.size for _, ids, _ in aggregated])[:-1])
+    idf = np.array([math.log(1.0 + len(dataset) / v) for v in levels.tolist()])[level_of]
+    offsets = np.cumsum([0] + [image_ids.size for image_ids, _ in aggregated])
 
-    images = []
-    for (img, ids, counts), idf in zip(aggregated, idf_sets):
-        raw = (counts / counts.max()) * idf
-        weights = raw / raw.max()
-        images.append(ImageObject(image_id=img.image_id, weights=weights, word_ids=ids,
-                                  vocab=img.vocab, counts=counts))
-    return Dataset(images=tuple(images), vocab=dataset.vocab)
+    weights = []
+    for (_, image_counts), lo, hi in zip(aggregated, offsets, offsets[1:]):
+        raw = (image_counts / image_counts.max()) * idf[lo:hi]
+        weights.append(raw / raw.max())
+    return Dataset(dataset.image_ids, offsets, np.concatenate(weights), word_ids=ids, counts=counts,
+                   vocab=dataset.vocab)
 
 
 def _count_images(image_ids: Sequence[str], id_sets: Sequence[np.ndarray],
                   vocab: Vocabulary) -> Dataset:
     """One image per word-id occurrence list: per-word counts, weights count/max."""
-    images = []
-    for name, ids in zip(image_ids, id_sets):
-        uniq, counts = np.unique(ids, return_counts=True)
-        images.append(ImageObject(image_id=name, weights=normalize_weights(counts),
-                                  word_ids=uniq, vocab=vocab, counts=counts))
-    return Dataset(images=tuple(images), vocab=vocab)
+    ids, counts = zip(*(np.unique(id_set, return_counts=True) for id_set in id_sets))
+    return Dataset(image_ids, np.cumsum([0] + [image_counts.size for image_counts in counts]),
+                   np.concatenate([normalize_weights(image_counts) for image_counts in counts]),
+                   word_ids=np.concatenate(ids), counts=np.concatenate(counts), vocab=vocab)
 
 
 def assign_words(vocab: Vocabulary, features: np.ndarray) -> np.ndarray:

@@ -95,7 +95,7 @@ def generate_synthetic(config: GeneratorConfig) -> tuple[Dataset, tuple[ImageObj
 
     dup_count = int(config.duplicate_fraction * config.image_count + 0.5)
     sources = rng.choice(config.image_count, size=dup_count, replace=False).tolist()
-    queries = tuple(perturb_image(dataset.images[src], config.perturbation, rng, f"dup{q:06d}")
+    queries = tuple(perturb_image(dataset.image(src), config.perturbation, rng, f"dup{q:06d}")
                     for q, src in enumerate(sources))
-    truth = {dup.image_id: dataset.images[src].image_id for dup, src in zip(queries, sources)}
+    truth = {dup.image_id: dataset.image_ids[src] for dup, src in zip(queries, sources)}
     return dataset, queries, truth

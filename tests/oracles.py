@@ -8,8 +8,10 @@ that requires one shared arithmetic kernel; everything around it (loops,
 argmax, tie-breaking, thresholding, bookkeeping) is reimplemented here.
 """
 
+import json
 import math
 
+from vwsim import ImageObject
 from vwsim.matching import cosine
 
 
@@ -96,3 +98,30 @@ def fnv1a_64(data, h=FNV1A_64_BASIS):
     for byte in bytes(data):
         h = ((h ^ byte) * 0x100000001B3) % 2**64
     return h
+
+
+def images_per_record(path, vocab=None):
+    """One ImageObject per record of an image file, built record by record.
+
+    Weights missing from a record are its counts over their maximum. Only
+    well-formed files are read here; refusals are not modelled.
+    """
+    images = []
+    with open(path, encoding="utf-8") as lines:
+        for line in lines:
+            if not line.strip():
+                continue
+            rec = json.loads(line)
+            words = rec["words"]
+            counts = [w["count"] for w in words] if "count" in words[0] else None
+            if "weight" in words[0]:
+                weights = [w["weight"] for w in words]
+            else:
+                weights = [c / max(counts) for c in counts]
+            if "word_id" in words[0]:
+                images.append(ImageObject(rec["image_id"], weights, counts=counts, vocab=vocab,
+                                          word_ids=[w["word_id"] for w in words]))
+            else:
+                images.append(ImageObject(rec["image_id"], weights, counts=counts,
+                                          vectors=[w["vector"] for w in words]))
+    return images

@@ -321,7 +321,7 @@ class TestCriterion8Serialization:
                            for i in range(int(rng.randint(1, 6))))
             vpath, ipath = tmp_path / "vocab.jsonl", tmp_path / "images.jsonl"
             save_vocabulary(vocab, vpath)
-            save_images(Dataset(images=images, vocab=vocab), ipath)
+            save_images(Dataset.from_images(images, vocab=vocab), ipath)
             vocab_bytes, image_bytes = vpath.read_bytes(), ipath.read_bytes()
             back = load_images(ipath, vocab=load_vocabulary(vpath))
             save_vocabulary(back.vocab, vpath)

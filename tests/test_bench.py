@@ -35,7 +35,7 @@ def write_benchmark(tmp_path, **overrides):
     dataset, queries, truth = generate_synthetic(GeneratorConfig(**cfg_kwargs))
     save_vocabulary(dataset.vocab, tmp_path / "vocabulary.jsonl")
     save_images(dataset, tmp_path / "images.jsonl")
-    save_images(Dataset(images=queries, vocab=dataset.vocab), tmp_path / "queries.jsonl")
+    save_images(Dataset.from_images(queries, vocab=dataset.vocab), tmp_path / "queries.jsonl")
     save_truth(truth, tmp_path / "truth.json")
     return tmp_path
 
@@ -137,6 +137,18 @@ class TestRunHitrate:
         assert len(searches) == cfg.query_count * len(cfg.rho_grid)
         assert [{**row, "algo": "smin"} for row in rows] == smin_rows
 
+    def test_psmi_builds_no_image_object_per_corpus_image(self, tmp_path, monkeypatch):
+        # The corpus stays in the dataset's columns: only the sources and the
+        # perturbed queries become image objects (30 corpus images here).
+        write_benchmark(tmp_path)
+        cfg = HitRateConfig(data_dir=str(tmp_path), query_count=4, rho_grid=(0.0, 0.5, 1.0),
+                            top_k=1, mu0=0.7, seed=5, algorithm="psmi")
+        built = []
+        post_init = ImageObject.__post_init__
+        monkeypatch.setattr(ImageObject, "__post_init__", lambda img: built.append(img) or post_init(img))
+        run_hitrate(cfg)
+        assert len(built) <= cfg.query_count * (1 + len(cfg.rho_grid))
+
     @pytest.mark.parametrize("algorithm", ["psmi", "smin"])
     def test_ties_rank_by_image_id(self, tmp_path, algorithm):
         # "a1" and "z1" are exact copies of the source "s1": every query scores
@@ -146,7 +158,7 @@ class TestRunHitrate:
         images = [ImageObject("s1", **twin), ImageObject("m2", np.ones(2), word_ids=[5, 6], vocab=vocab),
                   ImageObject("z1", **twin), ImageObject("a1", **twin)]
         save_vocabulary(vocab, tmp_path / "vocabulary.jsonl")
-        save_images(Dataset(images=images, vocab=vocab), tmp_path / "images.jsonl")
+        save_images(Dataset.from_images(images, vocab=vocab), tmp_path / "images.jsonl")
         save_truth({"dup": "s1"}, tmp_path / "truth.json")
         rates = [run_hitrate(HitRateConfig(data_dir=str(tmp_path), query_count=1, rho_grid=(0.0,),
                                            top_k=top_k, mu0=0.7, seed=1,

@@ -489,7 +489,7 @@ class TestTypes:
         pairs = [(img, twin),
                  (tiny_vocab, Vocabulary(tiny_vocab.vectors, tiny_vocab.frequencies)),
                  tuple(VisualWord(1, tiny_vocab.vectors[1], 1.0) for _ in range(2)),
-                 (Dataset((img,)), Dataset((img,))),
+                 (Dataset.from_images((img,)), Dataset.from_images((img,))),
                  (build_temp_index(img), build_temp_index(img))]
         for obj, copy in pairs:
             assert obj == obj and obj != copy

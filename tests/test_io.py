@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import re
 import struct
 import tracemalloc
 
@@ -8,17 +9,22 @@ import numpy as np
 import pytest
 
 from conftest import random_vocab, random_vocab_image
+from oracles import images_per_record
 
 from vwsim import (
     CompatibilityError,
     ContractError,
+    Corpus,
     Dataset,
+    DomainError,
     FormatError,
+    GeneratorConfig,
     ImageObject,
     PsimIndex,
     ValidationError,
     Vocabulary,
     build_psmi_index,
+    generate_synthetic,
     load_images,
     load_psmi,
     load_truth,
@@ -82,7 +88,7 @@ class TestImageFiles:
         images = tuple(random_vocab_image(rng, vocab, rng.randint(1, 6), f"img{i}")
                        for i in range(5))
         path = tmp_path / "images.jsonl"
-        save_images(Dataset(images=images, vocab=vocab), path)
+        save_images(Dataset.from_images(images, vocab=vocab), path)
         loaded = load_images(path, vocab=vocab)
         for orig, back in zip(images, loaded.images):
             assert back.image_id == orig.image_id
@@ -96,7 +102,7 @@ class TestImageFiles:
                           vectors=np.array([[3.0, 4.0], [1.0, 0.0]]),
                           counts=np.array([2, 1]))
         path = tmp_path / "images.jsonl"
-        save_images(Dataset(images=(img,)), path)
+        save_images(Dataset.from_images((img,)), path)
         back = load_images(path).images[0]
         assert np.array_equal(back.vectors, img.vectors)
         assert np.array_equal(back.counts, img.counts)
@@ -160,9 +166,10 @@ class TestImageFiles:
         v2 = Vocabulary(vectors=np.eye(2)[::-1], frequencies=[1, 1])
         img = ImageObject("a", [1.0], word_ids=[0], vocab=v1)
         with pytest.raises(ValidationError, match="image 'a' uses another vocabulary"):
-            Dataset((img,), vocab=v2)
+            Dataset.from_images((img,), vocab=v2)
         same = Vocabulary(vectors=np.eye(2), frequencies=[1, 1])
-        assert Dataset((img,), vocab=same).images == (img,)
+        kept = Dataset.from_images((img,), vocab=same).image(0)
+        assert kept.vocab is same and kept.word_ids.tolist() == [0] and kept.weights.tolist() == [1.0]
 
     def test_loading_shares_the_vocabulary_without_a_checksum(self, tmp_path, tiny_vocab):
         # Every loaded image holds the given vocabulary object, so Dataset
@@ -198,47 +205,70 @@ def _image(*words):
 NAN = float("nan")
 
 
+# One malformed record per rule. Every loader error is a ValidationError
+# naming the file, and the line when one image record is at fault; the
+# message is pinned where its wording is the point of the case.
+MALFORMED = [
+    ("vocab", [_vocab_entry(0, vector=(NAN, 0.0))], "non-finite"),
+    ("vocab", [_vocab_entry(0, freq=-1)], "negative frequency"),
+    ("vocab", [_vocab_entry(0, freq=2 ** 63)], "frequencies must fit in int64"),
+    ("vocab", [_vocab_entry(0), _vocab_entry(1, vector=(1.0,))], None),
+    ("vocab", [_vocab_entry(0, vector=())], None),
+    ("images", [_image({"vector": [NAN, 1.0], "weight": 1.0})], "non-finite"),
+    ("images", [_image({"word_id": 0, "weight": 1.5})], r"\(0, 1\]"),
+    ("images", [_image({"word_id": 0, "count": 0})], None),
+    ("images", [_image({"word_id": 0, "count": 2 ** 63})], "counts must fit in int64"),
+    ("images", [_image({"word_id": 2 ** 63, "weight": 1.0})], "word ids must fit in int64"),
+    ("images", [_image({"vector": [1.0, 0.0], "weight": 1.0},
+                       {"vector": [1.0], "weight": 1.0})], None),
+    ("images", [_image({"word_id": 0, "count": 1, "weight": 1.0},
+                       {"word_id": 1, "count": 2})], "mixes"),
+    ("images", [_image({"word_id": -1, "weight": 1.0})], None),
+    ("images", [{"image_id": "x", "words": {"word_id": 0, "weight": 1.0}}], "no words"),
+    ("images", [_image(3)], "malformed image record"),
+    ("vocab", [_vocab_entry(0), _vocab_entry(1.7)], "JSON integer"),
+    ("vocab", [_vocab_entry(0.0)], "JSON integer"),
+    ("vocab", [_vocab_entry(0, freq="5")], "JSON integer"),
+    ("vocab", [_vocab_entry(0, freq=True)], "JSON integer"),
+    ("images", [_image({"word_id": 0.9, "weight": 1.0})], "JSON integer"),
+    ("images", [_image({"word_id": True, "weight": 1.0})], "JSON integer"),
+    ("images", [_image({"word_id": 0, "count": 2.5})], "JSON integer"),
+    ("images", [_image({"word_id": 0, "count": True})], "JSON integer"),
+    ("images", [{"image_id": 5, "words": [{"word_id": 0, "weight": 1.0}]}], "image_id"),
+    ("images", [{"image_id": "", "words": [{"word_id": 0, "weight": 1.0}]}], "image_id"),
+    ("images", [_image({"word_id": 0, "vector": [0, 1], "weight": 1.0})],
+     "image 'x' must hold either inline vectors, or word ids with their vocabulary, not both"),
+    ("vocab", [_vocab_entry(0), _vocab_entry(1, vector=("1.0", 0.0))],
+     r"vectors must be numbers.*vectors\[1, 0\] is '1.0'"),
+    ("vocab", [_vocab_entry(0), _vocab_entry(1, vector=(True, 0.0))],
+     r"vectors must be numbers.*vectors\[1, 0\] is True"),
+    ("images", [_image({"word_id": 0, "weight": "0.5"})], "weights must be numbers"),
+    ("images", [_image({"word_id": 0, "weight": True})], "weights must be numbers"),
+]
+IMAGE_CASES = [(records, message) for kind, records, message in MALFORMED if kind == "images"]
+
+
+def _valid_like(record):
+    """A valid one-word record maker with the word fields of *record*'s first word.
+
+    A file holds one kind of image, so a valid record placed before *record*
+    holds the same fields where it can. A record holding both ids and
+    vectors is of no kind; it gets ids, and the second value returned is
+    then False.
+    """
+    values = {"word_id": 0, "vector": [1.0, 0.0], "count": 1, "weight": 1.0}
+    words = record.get("words")
+    fields = set(words[0]) & set(values) if isinstance(words, list) and isinstance(words[0], dict) else set()
+    same_kind = not {"word_id", "vector"} <= fields
+    if not same_kind:
+        fields.discard("vector")
+    if not fields & {"weight", "count"}:
+        fields = {"word_id", "weight"}
+    return lambda image_id: {"image_id": image_id, "words": [{f: values[f] for f in fields}]}, same_kind
+
+
 class TestMalformedRecords:
-    # One malformed record per rule. Every loader error is a ValidationError
-    # naming the file, and the line when one image record is at fault; the
-    # message is pinned where its wording is the point of the case.
-    @pytest.mark.parametrize("kind, records, message", [
-        ("vocab", [_vocab_entry(0, vector=(NAN, 0.0))], "non-finite"),
-        ("vocab", [_vocab_entry(0, freq=-1)], "negative frequency"),
-        ("vocab", [_vocab_entry(0, freq=2 ** 63)], "frequencies must fit in int64"),
-        ("vocab", [_vocab_entry(0), _vocab_entry(1, vector=(1.0,))], None),
-        ("vocab", [_vocab_entry(0, vector=())], None),
-        ("images", [_image({"vector": [NAN, 1.0], "weight": 1.0})], "non-finite"),
-        ("images", [_image({"word_id": 0, "weight": 1.5})], r"\(0, 1\]"),
-        ("images", [_image({"word_id": 0, "count": 0})], None),
-        ("images", [_image({"word_id": 0, "count": 2 ** 63})], "counts must fit in int64"),
-        ("images", [_image({"word_id": 2 ** 63, "weight": 1.0})], "word ids must fit in int64"),
-        ("images", [_image({"vector": [1.0, 0.0], "weight": 1.0},
-                           {"vector": [1.0], "weight": 1.0})], None),
-        ("images", [_image({"word_id": 0, "count": 1, "weight": 1.0},
-                           {"word_id": 1, "count": 2})], "mixes"),
-        ("images", [_image({"word_id": -1, "weight": 1.0})], None),
-        ("images", [{"image_id": "x", "words": {"word_id": 0, "weight": 1.0}}], "no words"),
-        ("images", [_image(3)], "malformed image record"),
-        ("vocab", [_vocab_entry(0), _vocab_entry(1.7)], "JSON integer"),
-        ("vocab", [_vocab_entry(0.0)], "JSON integer"),
-        ("vocab", [_vocab_entry(0, freq="5")], "JSON integer"),
-        ("vocab", [_vocab_entry(0, freq=True)], "JSON integer"),
-        ("images", [_image({"word_id": 0.9, "weight": 1.0})], "JSON integer"),
-        ("images", [_image({"word_id": True, "weight": 1.0})], "JSON integer"),
-        ("images", [_image({"word_id": 0, "count": 2.5})], "JSON integer"),
-        ("images", [_image({"word_id": 0, "count": True})], "JSON integer"),
-        ("images", [{"image_id": 5, "words": [{"word_id": 0, "weight": 1.0}]}], "image_id"),
-        ("images", [{"image_id": "", "words": [{"word_id": 0, "weight": 1.0}]}], "image_id"),
-        ("images", [_image({"word_id": 0, "vector": [0, 1], "weight": 1.0})],
-         "image 'x' must hold either inline vectors, or word ids with their vocabulary, not both"),
-        ("vocab", [_vocab_entry(0), _vocab_entry(1, vector=("1.0", 0.0))],
-         r"vectors must be numbers.*vectors\[1, 0\] is '1.0'"),
-        ("vocab", [_vocab_entry(0), _vocab_entry(1, vector=(True, 0.0))],
-         r"vectors must be numbers.*vectors\[1, 0\] is True"),
-        ("images", [_image({"word_id": 0, "weight": "0.5"})], "weights must be numbers"),
-        ("images", [_image({"word_id": 0, "weight": True})], "weights must be numbers"),
-    ])
+    @pytest.mark.parametrize("kind, records, message", MALFORMED)
     def test_rejected_as_validation_error(self, tmp_path, tiny_vocab, kind, records, message):
         path = tmp_path / f"{kind}.jsonl"
         path.write_text("".join(json.dumps(rec) + "\n" for rec in records))
@@ -250,6 +280,148 @@ class TestMalformedRecords:
         assert str(path) in str(info.value)
         if kind == "images":
             assert "line 1" in str(info.value)
+
+    @pytest.mark.parametrize("records, message", IMAGE_CASES)
+    def test_refusal_names_the_line_of_the_bad_record(self, tmp_path, tiny_vocab, records, message):
+        # After a blank line and two valid records, the refusal is the one the
+        # bad record gets alone, at line 4: the columnar check maps the first
+        # refused word back to its record. A record of no kind is refused as
+        # unlike the first record instead.
+        (bad,) = records
+        valid, same_kind = _valid_like(bad)
+        texts = {"alone": json.dumps(bad) + "\n",
+                 "after": "\n" + "".join(json.dumps(r) + "\n" for r in (valid("v1"), valid("v2"), bad))}
+        errors = {}
+        for name, text in texts.items():
+            path = tmp_path / name / "images.jsonl"
+            path.parent.mkdir()
+            path.write_text(text)
+            with pytest.raises(ValidationError) as info:
+                load_images(path, vocab=tiny_vocab)
+            errors[name] = str(info.value).replace(str(path), "<file>")
+        assert errors["after"].startswith("<file>: line 4: ")
+        if same_kind:
+            assert errors["after"] == errors["alone"].replace("line 1", "line 4", 1)
+            assert re.search(message or "", errors["after"])
+        else:
+            assert errors["after"].endswith("a file holds one kind of image")
+
+    def test_refused_element_is_indexed_within_its_record(self, tmp_path, tiny_vocab):
+        words = [{"word_id": 0, "weight": 1.0}, {"word_id": 1, "weight": 0.5}]
+        bad = [{"word_id": 2, "weight": 1.0}, {"word_id": 0, "weight": "0.5"}]
+        path = tmp_path / "images.jsonl"
+        path.write_text("\n" + "".join(json.dumps({"image_id": name, "words": w}) + "\n"
+                                       for name, w in (("a", words), ("b", words), ("c", bad))))
+        with pytest.raises(ValidationError, match=r"images.jsonl: line 4: weights must be numbers, "
+                                                  r"not bool or string values; weights\[1\] is '0.5'"):
+            load_images(path, vocab=tiny_vocab)
+
+    @pytest.mark.parametrize("first, other, message", [
+        ({"word_id": 0, "weight": 1.0}, {"vector": [1.0, 0.0], "weight": 1.0},
+         "image 'c' has words with 'vector', but the file's first image has words with 'word_id'; "
+         "a file holds one kind of image"),
+        ({"vector": [1.0, 0.0], "weight": 1.0}, {"word_id": 0, "weight": 1.0},
+         "image 'c' has words with 'word_id', but the file's first image has words with 'vector'"),
+        ({"word_id": 0, "count": 2}, {"word_id": 0, "weight": 1.0},
+         "image 'c' has words with 'word_id', but the file's first image has words with 'word_id', 'count'"),
+        ({"word_id": 0, "weight": 1.0}, {"word_id": 0, "vector": [1.0, 0.0], "weight": 1.0},
+         "image 'c' has words with 'word_id', 'vector', but the file's first image has words with 'word_id'"),
+        ({"vector": [1.0, 0.0], "weight": 1.0}, {"vector": [1.0, 0.0, 0.0], "weight": 1.0},
+         "image 'c' has vectors of length 3, but the file's first image has length 2"),
+    ])
+    def test_a_file_holds_one_kind_of_image(self, tmp_path, tiny_vocab, first, other, message):
+        path = tmp_path / "images.jsonl"
+        records = [("a", first), ("b", first), ("c", other), ("d", first)]
+        path.write_text("\n".join(json.dumps({"image_id": name, "words": [w]}) for name, w in records)
+                        .replace("\n", "\n\n", 1) + "\n")
+        with pytest.raises(ValidationError, match=f"images.jsonl: line 4: {message}"):
+            load_images(path, vocab=tiny_vocab)
+
+
+class TestColumnarLoad:
+    def _files(self, tmp_path):
+        """One generated corpus saved in four forms, with its vocabulary."""
+        dataset, _, _ = generate_synthetic(GeneratorConfig(seed=19, vocab_size=48, dimension=6,
+                                                           image_count=25, words_per_image=12))
+        vocab, images = dataset.vocab, dataset.images
+        scale = np.random.RandomState(23).uniform(0.5, 2.0, size=(dataset.weights.size, 1))
+        forms = {
+            "tfidf": dataset,
+            "weights": Dataset.from_images(
+                [ImageObject(img.image_id, img.weights, word_ids=img.word_ids, vocab=vocab)
+                 for img in images]),
+            "raw": Dataset.from_images(
+                [ImageObject(img.image_id, img.weights, counts=img.counts,
+                             vectors=img.vector_matrix() * scale[lo:hi])
+                 for img, lo, hi in zip(images, dataset.offsets, dataset.offsets[1:])]),
+        }
+        paths = {}
+        for name, form in forms.items():
+            paths[name] = tmp_path / f"{name}.jsonl"
+            save_images(form, paths[name])
+        records = [json.loads(line) for line in paths["tfidf"].read_text().splitlines()]
+        for rec in records:
+            for word in rec["words"]:
+                del word["weight"]
+        paths["counts"] = tmp_path / "counts.jsonl"
+        paths["counts"].write_text("".join(json.dumps(rec) + "\n" for rec in records))
+        return vocab, paths
+
+    def test_loaded_images_equal_the_per_record_build(self, tmp_path):
+        vocab, paths = self._files(tmp_path)
+        for name, path in paths.items():
+            loaded = load_images(path, vocab=vocab)
+            want = images_per_record(path, vocab=vocab)
+            assert len(loaded) == len(want) == 25
+            for got, ref in zip(loaded.images, want):
+                assert got.image_id == ref.image_id
+                assert got.weights.tobytes() == ref.weights.tobytes()
+                for column in ("word_ids", "counts", "vectors"):
+                    a, b = getattr(got, column), getattr(ref, column)
+                    assert (a is None and b is None) or a.tobytes() == b.tobytes(), (name, column)
+                assert got.vocab is ref.vocab
+            if name != "raw":
+                corpus = Corpus.from_dataset(loaded)
+                images = loaded.images
+                assert np.array_equal(corpus.word_ids, np.concatenate([img.word_ids for img in images]))
+                assert np.array_equal(corpus.weights, np.concatenate([img.weights for img in images]))
+                assert corpus.offsets.tolist() == np.cumsum([0] + [img.word_count for img in images]).tolist()
+            if name != "counts":
+                save_images(loaded, tmp_path / "again.jsonl")
+                assert (tmp_path / "again.jsonl").read_bytes() == path.read_bytes()
+
+    def test_loading_builds_no_image_object(self, tmp_path, monkeypatch):
+        vocab, paths = self._files(tmp_path)
+        built = []
+        post_init = ImageObject.__post_init__
+        monkeypatch.setattr(ImageObject, "__post_init__", lambda img: built.append(img) or post_init(img))
+        dataset = load_images(paths["tfidf"], vocab=vocab)
+        assert built == []
+        dataset.image(3)
+        assert len(built) == 1
+
+    def test_dataset_rules_name_the_image_of_the_first_refused_word(self, tiny_vocab):
+        columns = dict(word_ids=[0, 1, 2, 2], vocab=tiny_vocab)
+        dataset = Dataset(["a", "b"], [0, 1, 4], [1.0, 1.0, 0.5, 0.25], **columns)
+        assert dataset.image(-1).word_ids.tolist() == [1, 2, 2] and len(dataset) == 2
+        cases = [
+            ((["a", "b"], [0, 1, 4], [1.0, 1.0, 1.5, 0.25]), DomainError, "image 'b': weights"),
+            ((["a", "b"], [0, 2, 4], [1.0, 1.0, 0.5, 0.25]), None, None),
+            ((["a", "b"], [0, 4, 4], [1.0, 1.0, 0.5, 0.25]), DomainError, "image 'b' has no words"),
+            ((["a", "a"], [0, 1, 4], [1.0, 1.0, 0.5, 0.25]), DomainError, "duplicate image id 'a'"),
+            ((["a", "b"], [0, 1, 3], [1.0, 1.0, 0.5, 0.25]), ContractError, "offsets must run"),
+            (([], [0], []), DomainError, "a dataset needs at least one image"),
+        ]
+        for args, error, message in cases:
+            if error is None:
+                Dataset(*args, **columns)
+                continue
+            with pytest.raises(error, match=message):
+                Dataset(*args, **columns)
+        with pytest.raises(DomainError, match="image 'b': word id outside"):
+            Dataset(["a", "b"], [0, 1, 2], [1.0, 1.0], word_ids=[0, 3], vocab=tiny_vocab)
+        with pytest.raises(DomainError, match="image 'c' has a zero vector"):
+            Dataset(["a", "b", "c"], [0, 1, 2, 4], [1.0] * 4, vectors=[[1, 0], [0, 1], [1, 1], [0, 0]])
 
 
 class TestTruthFiles:

@@ -132,7 +132,7 @@ def test_three_matchers_agree(case):
 @given(cases(corpus_size=4))
 def test_search_is_psmi_similarity_per_image(case):
     index, mu0, query, targets = case
-    scores = search(query, Corpus.from_dataset(Dataset(images=targets)), mu0, index)
+    scores = search(query, Corpus.from_dataset(Dataset.from_images(targets)), mu0, index)
     want = np.array([psmi_similarity(query, b, mu0, index) for b in targets])
     assert scores.tobytes() == want.tobytes()
 

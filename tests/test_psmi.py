@@ -7,12 +7,14 @@ from conftest import random_vocab, random_vocab_image
 from oracles import brute_force_top1, huffman_cost_reference
 
 from vwsim import (
+    ContractError,
     Corpus,
     Dataset,
     DomainError,
     ImageObject,
     PreconditionError,
     UnknownWordError,
+    ValidationError,
     VisualWord,
     Vocabulary,
     build_huffman_tree,
@@ -55,7 +57,7 @@ def grid_vocab():
 
 def assert_search_is_per_pair(query, images, mu0, idx):
     """search over the images equals psmi_similarity per image, bit for bit."""
-    corpus = Corpus.from_dataset(Dataset(images=images))
+    corpus = Corpus.from_dataset(Dataset.from_images(images))
     scores = search(query, corpus, mu0, idx)
     want = np.array([psmi_similarity(query, b, mu0, idx) for b in images])
     assert scores.dtype == np.float64 and scores.tobytes() == want.tobytes()
@@ -275,7 +277,7 @@ class TestSearch:
         no_pair = vocab_image(tiny_vocab, [2], [1e-170], "no-pair")
         for images in ([tiny], [no_pair, tiny]):
             with pytest.raises(DomainError, match="too small to score"):
-                search(query, Corpus.from_dataset(Dataset(images=images)), 0.7, idx)
+                search(query, Corpus.from_dataset(Dataset.from_images(images)), 0.7, idx)
         with pytest.raises(DomainError, match="too small to score"):
             psmi_similarity(query, tiny, 0.7, idx)
         assert assert_search_is_per_pair(query, [no_pair], 0.7, idx).tolist() == [0.0]
@@ -328,7 +330,7 @@ class TestCorpus:
         images = [vocab_image(tiny_vocab, [2, 0], [1.0, 0.5], "b0"),
                   vocab_image(tiny_vocab, [0], name="b1"),
                   vocab_image(tiny_vocab, [1, 0, 2], [0.25, 1.0, 0.5], "b2")]
-        corpus = Corpus.from_dataset(Dataset(images=images))
+        corpus = Corpus.from_dataset(Dataset.from_images(images))
         assert corpus.size == 3
         assert corpus.offsets.tolist() == [0, 2, 3, 6]
         assert corpus.owners.tolist() == [0, 0, 1, 2, 2, 2]
@@ -341,12 +343,21 @@ class TestCorpus:
             assert not arr.flags.writeable
 
     def test_refuses_mixed_vocabularies_and_empty_datasets(self, tiny_vocab):
+        # A dataset has one vocabulary and at least one image, so both are
+        # refused when the dataset is built, before any corpus.
         other = random_vocab(np.random.RandomState(167), tiny_vocab.size, 2)
-        with pytest.raises(PreconditionError, match="different vocabularies"):
-            Corpus.from_dataset(Dataset(images=[vocab_image(tiny_vocab, [0], name="a"),
-                                                vocab_image(other, [0], name="b")]))
-        with pytest.raises(DomainError):
-            Corpus.from_dataset(Dataset(images=()))
+        with pytest.raises(ValidationError, match="image 'b' uses another vocabulary"):
+            Dataset.from_images([vocab_image(tiny_vocab, [0], name="a"),
+                                 vocab_image(other, [0], name="b")])
+        with pytest.raises(DomainError, match="a dataset needs at least one image"):
+            Dataset.from_images(())
+
+    def test_shares_the_dataset_columns(self, tiny_vocab):
+        dataset = Dataset.from_images([vocab_image(tiny_vocab, [2, 0], [1.0, 0.5], "b0"),
+                                       vocab_image(tiny_vocab, [1], name="b1")])
+        corpus = Corpus.from_dataset(dataset)
+        assert corpus.word_ids is dataset.word_ids and corpus.weights is dataset.weights
+        assert corpus.offsets is dataset.offsets
 
 
 class TestPsmiMatch:
@@ -527,14 +538,17 @@ class TestPsmiPreconditions:
             with pytest.raises(PreconditionError) as per_pair:
                 psmi_match(a, b, mu0, idx)
             with pytest.raises(PreconditionError) as batched:
-                search(a, Corpus.from_dataset(Dataset(images=[b])), mu0, idx)
+                search(a, Corpus.from_dataset(Dataset.from_images([b])), mu0, idx)
             assert str(batched.value) == str(per_pair.value)
-        # A raw corpus image is refused when the corpus is built.
+        # A raw corpus is refused when the corpus is built; a dataset holds
+        # one kind of image, so it cannot mix raw and vocabulary-backed ones.
         with pytest.raises(PreconditionError) as per_pair:
             psmi_match(own, raw, 0.7, idx)
         with pytest.raises(PreconditionError) as batched:
-            Corpus.from_dataset(Dataset(images=[own, raw]))
+            Corpus.from_dataset(Dataset.from_images([raw]))
         assert str(batched.value) == str(per_pair.value)
+        with pytest.raises(ContractError, match="image 'raw' is not of the dataset's kind"):
+            Dataset.from_images([own, raw])
 
     def test_empty_image_rejected(self, tiny_vocab):
         # An image has at least one word; the constructor refuses an empty one.

@@ -18,7 +18,7 @@ def count_image(vocab, name, ids, counts):
 class TestTfidf:
     def test_two_image_corpus_derived_values(self, tiny_vocab):
         # Image 1 has word 0 twice (df 2) and word 1 once (df 1).
-        dataset = Dataset(images=(
+        dataset = Dataset.from_images((
             count_image(tiny_vocab, "a", [0, 1], [2, 1]),
             count_image(tiny_vocab, "b", [0], [1]),
         ), vocab=tiny_vocab)
@@ -32,7 +32,7 @@ class TestTfidf:
         assert abs(weights[1] - 0.7925) < 1e-3
 
     def test_uniform_corpus_gives_unit_weights(self, tiny_vocab):
-        dataset = Dataset(images=(
+        dataset = Dataset.from_images((
             count_image(tiny_vocab, "a", [0, 1, 2], [3, 3, 3]),
             count_image(tiny_vocab, "b", [0, 1, 2], [3, 3, 3]),
         ), vocab=tiny_vocab)
@@ -41,7 +41,7 @@ class TestTfidf:
             assert img.weights.tolist() == [1.0, 1.0, 1.0]
 
     def test_single_word_image(self, tiny_vocab):
-        dataset = Dataset(images=(count_image(tiny_vocab, "a", [2], [7]),), vocab=tiny_vocab)
+        dataset = Dataset.from_images((count_image(tiny_vocab, "a", [2], [7]),), vocab=tiny_vocab)
         assert tfidf_weights(dataset).images[0].weights.tolist() == [1.0]
 
     def test_output_in_unit_interval(self, tiny_vocab):
@@ -51,7 +51,7 @@ class TestTfidf:
             ids = np.unique(rng.randint(0, 3, size=rng.randint(1, 4)))
             counts = rng.randint(1, 9, size=ids.size)
             images.append(count_image(tiny_vocab, f"img{i}", ids, counts))
-        out = tfidf_weights(Dataset(images=tuple(images), vocab=tiny_vocab))
+        out = tfidf_weights(Dataset.from_images(tuple(images), vocab=tiny_vocab))
         for img in out.images:
             assert np.all(img.weights > 0.0) and np.all(img.weights <= 1.0)
             assert img.weights.max() == 1.0
@@ -60,7 +60,7 @@ class TestTfidf:
         img = ImageObject(image_id="a", weights=np.array([1.0, 1.0, 0.5]),
                           word_ids=np.array([1, 1, 0]), vocab=tiny_vocab,
                           counts=np.array([1, 1, 1]))
-        out = tfidf_weights(Dataset(images=(img,), vocab=tiny_vocab))
+        out = tfidf_weights(Dataset.from_images((img,), vocab=tiny_vocab))
         merged = out.images[0]
         assert merged.word_ids.tolist() == [0, 1]
         assert merged.counts.tolist() == [1, 2]
@@ -69,17 +69,18 @@ class TestTfidf:
         img = ImageObject(image_id="a", weights=np.array([1.0]),
                           word_ids=np.array([0]), vocab=tiny_vocab)
         with pytest.raises(DomainError):
-            tfidf_weights(Dataset(images=(img,), vocab=tiny_vocab))
+            tfidf_weights(Dataset.from_images((img,), vocab=tiny_vocab))
 
     def test_requires_word_ids(self):
         img = ImageObject(image_id="a", weights=np.array([1.0]),
                           vectors=np.array([[1.0, 0.0]]), counts=np.array([1]))
         with pytest.raises(DomainError):
-            tfidf_weights(Dataset(images=(img,)))
+            tfidf_weights(Dataset.from_images((img,)))
 
     def test_requires_an_image(self):
-        with pytest.raises(DomainError, match="tf-idf needs at least one image"):
-            tfidf_weights(Dataset(()))
+        # A dataset holds at least one image, so tf-idf never sees an empty one.
+        with pytest.raises(DomainError, match="a dataset needs at least one image"):
+            tfidf_weights(Dataset.from_images(()))
 
 
 class TestKmeans:

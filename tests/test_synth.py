@@ -91,7 +91,7 @@ class TestGolden:
         dataset, queries, truth = generate_synthetic(cfg)
         save_vocabulary(dataset.vocab, tmp_path / "vocabulary.jsonl")
         save_images(dataset, tmp_path / "images.jsonl")
-        save_images(Dataset(images=queries, vocab=dataset.vocab), tmp_path / "queries.jsonl")
+        save_images(Dataset.from_images(queries, vocab=dataset.vocab), tmp_path / "queries.jsonl")
         save_truth(truth, tmp_path / "truth.json")
         digest = hashlib.sha256()
         for name in ("vocabulary.jsonl", "images.jsonl", "queries.jsonl", "truth.json"):
