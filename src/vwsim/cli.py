@@ -16,6 +16,8 @@ import csv
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .bench import (
     ALGORITHMS,
@@ -123,9 +125,8 @@ def cmd_gen(args) -> int:
 
 def cmd_build_vocab(args) -> int:
     raw = load_images(args.features)
-    vocab, _ = kmeans_quantize([img.vector_matrix() for img in raw.images],
-                               args.k, args.seed,
-                               image_ids=[img.image_id for img in raw.images])
+    vocab, _ = kmeans_quantize(np.split(raw.vectors, raw.offsets[1:-1]), args.k, args.seed,
+                               image_ids=raw.image_ids)
     save_vocabulary(vocab, args.out)
     print(f"built vocabulary of {vocab.size} words (d={vocab.dimension}) "
           f"from {len(raw)} feature sets into {args.out} (seed {args.seed})")
@@ -134,8 +135,8 @@ def cmd_build_vocab(args) -> int:
 
 def cmd_quantize(args) -> int:
     raw = load_images(args.features)
-    feature_sets = [img.vector_matrix() for img in raw.images]
-    image_ids = [img.image_id for img in raw.images]
+    feature_sets = np.split(raw.vectors, raw.offsets[1:-1])
+    image_ids = raw.image_ids
     if args.vocab:
         vocab = load_vocabulary(args.vocab)
         dataset = _count_images(image_ids, [assign_words(vocab, m) for m in feature_sets], vocab)

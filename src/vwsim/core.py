@@ -335,27 +335,33 @@ def _image_columns(image_ids: tuple, offsets, weights, word_ids, vectors, counts
     if min(lengths) < 1:
         raise DomainError(f"image {image_ids[lengths.index(min(lengths))]!r} has no words")
 
-    def owner(word: int) -> str:
-        if offsets is None:
-            return image_ids[0]
-        return image_ids[int(np.searchsorted(offsets, word, side="right")) - 1]
-
-    def refuse(bad: np.ndarray, message: str) -> None:
-        if bad.any():
-            raise DomainError(message.format(owner(int(bad.argmax()))))
-
-    refuse(~((weights > 0.0) & (weights <= 1.0)), "image {!r}: weights must be in (0, 1]")
+    _refuse(~((weights > 0.0) & (weights <= 1.0)), "image {!r}: weights must be in (0, 1]",
+            image_ids, offsets)
     if raw:
         vectors = _column(vectors, np.float64, "image vectors", (n_words, None))
-        _squared_norms(vectors, lambda row: f"image {owner(row)!r}")
+        _squared_norms(vectors, lambda row: f"image {_owner(image_ids, offsets, row)!r}")
     else:
         word_ids = _column(word_ids, np.int64, "word ids", (n_words,))
-        refuse(word_ids < 0, "word ids must be non-negative")
-        refuse(word_ids >= vocab.size, "image {!r}: word id outside vocabulary")
+        _refuse(word_ids < 0, "word ids must be non-negative", image_ids, offsets)
+        _refuse(word_ids >= vocab.size, "image {!r}: word id outside vocabulary",
+                image_ids, offsets)
     if counts is not None:
         counts = _column(counts, np.int64, "occurrence counts", (n_words,))
-        refuse(counts < 1, "occurrence counts must be >= 1")
+        _refuse(counts < 1, "occurrence counts must be >= 1", image_ids, offsets)
     return offsets, weights, word_ids, vectors, counts
+
+
+def _owner(image_ids: tuple, offsets, word: int) -> str:
+    """The id of the image that owns flat word position *word* (see :func:`_image_columns`)."""
+    if offsets is None:
+        return image_ids[0]
+    return image_ids[int(np.searchsorted(offsets, word, side="right")) - 1]
+
+
+def _refuse(bad: np.ndarray, message: str, image_ids: tuple, offsets) -> None:
+    """Raise *message*, formatted with the owner of the first *bad* word, if there is one."""
+    if bad.any():
+        raise DomainError(message.format(_owner(image_ids, offsets, int(bad.argmax()))))
 
 
 @dataclass(frozen=True, eq=False)

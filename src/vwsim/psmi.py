@@ -2,12 +2,15 @@
 
 For every vocabulary word, precompute the list of all other words whose
 clamped cosine exceeds a build threshold: self first (at exactly 1.0), then
-descending similarity, then ascending id. The build is a chunked all-pairs
-join whose candidates are flat row-major positions, rescored exactly and
-laid out by one stable sort. The index is three CSR arrays holding all
-lists back to back, and they are its only copy: a word's list is the
-read-only ``(ids, sims)`` slice pair that :func:`huffman_search` returns,
-and no object is built per list entry. The Huffman tree over the word
+descending similarity, then ascending id. The build is a half-join: row
+tiles of a float32 product over the upper triangle only, cut below the
+build threshold by a proven error bound, so that every pair the exact
+kernel keeps is a candidate. The candidates are rescored exactly in
+float64, each off-diagonal entry is mirrored into its partner's list, and
+one stable four-key sort lays out the lists. The index is three CSR arrays
+holding all lists back to back, and they are its only copy: a word's list
+is the read-only ``(ids, sims)`` slice pair that :func:`huffman_search`
+returns, and no object is built per list entry. The Huffman tree over the word
 frequencies is derived from the frequencies alone, on demand, and serves
 code-length statistics only.
 
@@ -63,11 +66,6 @@ __all__ = [
     "psmi_similarity",
     "search",
 ]
-
-# Candidate margin for the all-pairs matrix product; candidates are then
-# rescored through the exact kernel before thresholding.
-_CANDIDATE_MARGIN = 1e-9
-
 
 @dataclass(eq=False)
 class HuffmanNode:
@@ -189,31 +187,58 @@ class PsimIndex:
 def build_psmi_index(vocab: Vocabulary, mu0_build: float) -> PsimIndex:
     """Precompute every word's potential similar words above ``mu0_build``.
 
-    Each chunk of the all-pairs matrix product yields flat row-major
-    positions, rescored through the shared kernel, so stored similarities
-    match what the naive matcher would compute and every self entry is
-    exactly 1.0. One stable three-key sort lays out the lists.
+    The kernel commutes, so the join covers the upper triangle only: each
+    tile multiplies rows ``lo:lo + chunk`` by columns ``lo:K`` of the unit
+    matrix rounded to float32 (about 4 M values a tile), and keeps the flat
+    positions above ``cut = mu0_build - (d + 2) * 2**-23`` with ``row <= col``.
+
+    The cut loses no pair. For unit float64 rows ``u, v`` with float32
+    roundings ``û, v̂`` (``|û_i - u_i| <= 2**-24 |u_i|``), Cauchy-Schwarz gives
+    ``|û·v̂ - u·v| <= (2 * 2**-24 + 2**-48) |u| |v|``; a float32 dot product
+    in any summation order, with or without FMA, is within ``γ_d |û| |v̂|``
+    of ``û·v̂``, where ``γ_d = d * 2**-24 / (1 - d * 2**-24)`` (Higham 2002,
+    §3.1), and the float64 one within ``d * 2**-53`` of ``u·v`` likewise. So
+    ``|fl32(û·v̂) - fl64(u·v)| <= (d + 2) * 2**-24 + d * 2**-53 + O(d² * 2**-48)``;
+    float32 subnormals add at most ``d * 2**-149``. The cut sits twice that
+    leading term below the threshold, and the slack also covers the cut's
+    own rounding to float32 (at most ``2**-25``). A pair the kernel keeps
+    has a float64 dot product above ``mu0_build`` (clamping only lowers it),
+    or is an identical pair within ``1e-9`` of 1, so its float32 product
+    clears the cut.
+
+    Each tile's candidates are rescored through the shared kernel, so stored
+    similarities match what the naive matcher computes and every self entry
+    is exactly 1.0. Each off-diagonal entry ``(r, c, s)`` is mirrored as
+    ``(c, r, s)``: ``np.dot`` gives the two orders bit for bit. One stable
+    four-key sort lays out the lists.
     """
     mu0_build = check_threshold(mu0_build)
     unit = vocab.unit_matrix
-    k = vocab.size
+    k, d = unit.shape
+    unit32 = unit.astype(np.float32)
+    unit32_t = np.ascontiguousarray(unit32.T)
 
     chunk = max(1, (1 << 22) // k)
-    cut = mu0_build - _CANDIDATE_MARGIN
-    flat_parts, sim_parts = [], []
+    cut = mu0_build - (d + 2) * 2.0**-23
+    row_parts, col_parts, sim_parts = [], [], []
     for lo in range(0, k, chunk):
-        flat = np.flatnonzero(unit[lo:lo + chunk] @ unit.T > cut) + lo * k
-        rows, cols = np.divmod(flat, k)
+        flat = np.flatnonzero(unit32[lo:lo + chunk] @ unit32_t[:, lo:] > cut)
+        rows, cols = np.divmod(flat, k - lo)
+        upper = rows <= cols
+        rows, cols = rows[upper] + lo, cols[upper] + lo
         sims = _pair_scores(unit[rows], unit[cols])
         keep = sims > mu0_build
-        flat_parts.append(flat[keep])
+        row_parts.append(rows[keep])
+        col_parts.append(cols[keep])
         sim_parts.append(sims[keep])
-    rows, cols = np.divmod(np.concatenate(flat_parts), k)
-    sims = np.concatenate(sim_parts)
+    rows, cols, sims = (np.concatenate(parts) for parts in (row_parts, col_parts, sim_parts))
+    off = rows != cols
+    rows, cols = np.concatenate((rows, cols[off])), np.concatenate((cols, rows[off]))
+    sims = np.concatenate((sims, sims[off]))
 
     # Per word: self first (even ahead of another word at 1.0), then descending
-    # similarity; ids arrive ascending and the stable sort keeps them so on ties.
-    order = np.lexsort((-sims, rows != cols, rows))
+    # similarity, then ascending id.
+    order = np.lexsort((cols, -sims, rows != cols, rows))
     return PsimIndex(
         mu0_build=mu0_build,
         vocab_checksum=vocab.checksum,

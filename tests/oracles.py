@@ -6,13 +6,18 @@ matching oracles reuse the package's scalar ``cosine`` primitive and
 nothing else: exact float agreement is part of the contract under test, and
 that requires one shared arithmetic kernel; everything around it (loops,
 argmax, tie-breaking, thresholding, bookkeeping) is reimplemented here.
+:func:`all_pairs_reference` is the one exception: it keeps an earlier
+build of the offline index, so the build's CSR arrays can be compared
+against it bit for bit.
 """
 
 import json
 import math
 
+import numpy as np
+
 from vwsim import ImageObject
-from vwsim.matching import cosine
+from vwsim.matching import _pair_scores, cosine
 
 
 def brute_force_match(a, b, mu0):
@@ -125,3 +130,30 @@ def images_per_record(path, vocab=None):
                 images.append(ImageObject(rec["image_id"], weights, counts=counts,
                                           vectors=[w["vector"] for w in words]))
     return images
+
+
+def all_pairs_reference(vocab, mu0):
+    """CSR ``(offsets, ids, sims)`` of the offline index, by the float64 full-product build.
+
+    Every row chunk is multiplied against all K columns in float64 and cut
+    1e-9 below ``mu0``; the candidates are flat row-major positions, rescored
+    through ``_pair_scores`` and laid out by one stable three-key sort (row,
+    self first, descending similarity; ids arrive ascending).
+    """
+    unit = vocab.unit_matrix
+    k = vocab.size
+    chunk = max(1, (1 << 22) // k)
+    cut = mu0 - 1e-9
+    flat_parts, sim_parts = [], []
+    for lo in range(0, k, chunk):
+        flat = np.flatnonzero(unit[lo:lo + chunk] @ unit.T > cut) + lo * k
+        rows, cols = np.divmod(flat, k)
+        sims = _pair_scores(unit[rows], unit[cols])
+        keep = sims > mu0
+        flat_parts.append(flat[keep])
+        sim_parts.append(sims[keep])
+    rows, cols = np.divmod(np.concatenate(flat_parts), k)
+    sims = np.concatenate(sim_parts)
+    order = np.lexsort((-sims, rows != cols, rows))
+    offsets = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=k))))
+    return offsets, cols[order], sims[order]

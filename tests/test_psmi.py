@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_vocab, random_vocab_image
-from oracles import brute_force_top1, huffman_cost_reference
+from oracles import all_pairs_reference, brute_force_top1, huffman_cost_reference
 
 from vwsim import (
     ContractError,
@@ -53,6 +53,14 @@ def grid_vocab():
     grid = [p for p in itertools.product(range(-2, 3), repeat=3) if any(p)]
     return Vocabulary(vectors=unit_rows(np.array(grid, dtype=float)),
                       frequencies=np.ones(len(grid), dtype=np.int64))
+
+
+def assert_csr_equals_reference(vocab, mu0):
+    """The built CSR arrays equal the float64 full-product build's, bit for bit."""
+    idx = build_psmi_index(vocab, mu0)
+    for name, want in zip(("csr_offsets", "csr_ids", "csr_sims"), all_pairs_reference(vocab, mu0)):
+        got = getattr(idx, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
 
 
 def assert_search_is_per_pair(query, images, mu0, idx):
@@ -116,6 +124,47 @@ class TestBuild:
                 _, sims = huffman_search(idx, w)
                 tied += int(np.count_nonzero(sims[2:] == sims[1:-1]))
         assert tied >= 1000
+
+    # K = 2049 is the first size the row chunk (1 << 22) // K splits (2047 + 2
+    # rows); K = 3000 gives three tiles. mu0 = 0 keeps about half of all pairs.
+    @pytest.mark.parametrize("size, dim, mu0", [
+        (1, 3, 0.0), (1, 64, 0.9),
+        (2, 1, 0.0), (2, 2, 0.3), (2, 16, 0.999),
+        (300, 1, 0.7),
+        (2048, 16, 0.3), (2048, 64, 0.7),
+        (2049, 2, 0.0), (2049, 3, 0.9), (2049, 16, 0.7),
+        (3000, 3, 0.999), (3000, 16, 0.7), (3000, 64, 0.3),
+        pytest.param(30000, 32, 0.7, marks=pytest.mark.slow),
+    ])
+    def test_csr_equals_full_product_build(self, size, dim, mu0):
+        assert_csr_equals_reference(random_vocab(np.random.RandomState(size + dim), size, dim), mu0)
+
+    @pytest.mark.parametrize("mu0", [0.0, 0.3, 0.7, 0.9, 0.999])
+    def test_csr_equals_full_product_build_on_tied_grid(self, mu0):
+        # The grid stacked with its reverse: exact ties, and an identical twin per word.
+        grid = grid_vocab()
+        vocab = Vocabulary(vectors=np.concatenate((grid.vectors, grid.vectors[::-1])),
+                           frequencies=np.ones(2 * grid.size, dtype=np.int64))
+        assert_csr_equals_reference(vocab, mu0)
+
+    def test_pair_whose_float32_product_falls_below_threshold_is_kept(self):
+        # The exact score is one ulp above mu0 and its float32 rounding lies
+        # below mu0: only a cut under the threshold keeps the pair.
+        mu0 = 0.7
+        c = np.nextafter(mu0, 1.0)
+        vocab = Vocabulary(vectors=[[1.0, 0.0], [c, np.sqrt(1 - c * c)]], frequencies=[1, 1])
+        score = _pair_score(*vocab.unit_matrix)
+        assert float(np.float32(score)) < mu0 < score
+        idx = build_psmi_index(vocab, mu0)
+        assert entry_pairs(idx, 0) == [(0, 1.0), (1, score)]
+        assert entry_pairs(idx, 1) == [(1, 1.0), (0, score)]
+
+    def test_pair_scoring_exactly_threshold_is_dropped(self):
+        mu0 = 0.7
+        vocab = Vocabulary(vectors=[[1.0, 0.0], [mu0, np.sqrt(1 - mu0 * mu0)]], frequencies=[1, 1])
+        assert _pair_score(*vocab.unit_matrix) == mu0
+        idx = build_psmi_index(vocab, mu0)
+        assert entry_pairs(idx, 0) == [(0, 1.0)] and entry_pairs(idx, 1) == [(1, 1.0)]
 
     def test_deterministic_bytes(self, tmp_path):
         rng = np.random.RandomState(101)
