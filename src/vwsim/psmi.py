@@ -14,15 +14,14 @@ returns, and no object is built per list entry. The Huffman tree over the word
 frequencies is derived from the frequencies alone, on demand, and serves
 code-length statistics only.
 
-Matching against this index never touches vectors at query time. Of a
-query word's entries above the query threshold whose word is in the target
-image, it keeps the maximum, ties to the smallest target position: the naive
-double loop's rule, so outcomes are bit-identical whenever the query
-threshold is at least the build threshold. List order is a file-format rule.
-
-:func:`search` scores one query against a whole :class:`Corpus` in one
-batched pass over the same lists, with per-image postings in place of the
-per-pair id lookup; its scores equal :func:`psmi_similarity`'s bit for bit.
+Matching against this index never touches vectors at query time. Both
+:func:`psmi_match` (one pair) and :func:`search` (one query, a whole
+:class:`Corpus` through its postings) gather the query's entries above the
+query threshold (:func:`_entries`) and keep :func:`_winners`, psmi's one
+winner rule: the maximum, ties to the smallest target position. That is the
+naive double loop's rule, so outcomes are bit-identical whenever the query
+threshold is at least the build threshold, and search's scores equal
+:func:`psmi_similarity`'s bit for bit. List order is a file-format rule.
 """
 
 from __future__ import annotations
@@ -274,15 +273,29 @@ def _check_index(idx: PsimIndex, mu0_query: float, max_word_id: int, checksums) 
 
 
 def _segments(offsets: np.ndarray, keys: np.ndarray):
-    """The positions ``offsets[k]:offsets[k+1]`` of every key, back to back.
-
-    Returns them with each segment's length and its start in the result.
-    """
+    """The positions ``offsets[k]:offsets[k+1]`` of every key back to back, and their lengths."""
     starts = offsets[keys]
     lengths = offsets[keys + 1] - starts
     seg_offsets = np.cumsum(lengths) - lengths
-    flat = np.repeat(starts - seg_offsets, lengths) + np.arange(int(lengths.sum()))
-    return flat, lengths, seg_offsets
+    flat = np.repeat(starts - seg_offsets, lengths)
+    return flat + np.arange(flat.size), lengths
+
+
+def _entries(a_ids: np.ndarray, mu0: float, idx: PsimIndex):
+    """The query's list entries above ``mu0``: each one's query word, word id and similarity."""
+    flat, lengths = _segments(idx.csr_offsets, a_ids)
+    keep = idx.csr_sims[flat] > mu0
+    flat = flat[keep]
+    return np.repeat(np.arange(a_ids.size), lengths)[keep], idx.csr_ids[flat], idx.csr_sims[flat]
+
+
+def _winners(group: np.ndarray, pos: np.ndarray, sims: np.ndarray) -> np.ndarray:
+    """psmi's one winner rule: per group, the largest ``sims``, ties to the smallest ``pos``.
+
+    Groups are non-negative keys. Returns the winners' indices in group order."""
+    order = np.lexsort((pos, -sims, group))
+    group = group[order]
+    return order[group != np.concatenate(([-1], group[:-1]))]
 
 
 def psmi_match(a: ImageObject, b: ImageObject, mu0_query: float, idx: PsimIndex) -> MatchOutcome:
@@ -290,14 +303,14 @@ def psmi_match(a: ImageObject, b: ImageObject, mu0_query: float, idx: PsimIndex)
 
     For each query word, the largest list similarity above ``mu0_query``
     among the word ids that occur in B wins; its partner is the smallest B
-    position holding that similarity, as in the naive double loop. Requires
-    images backed by the indexed vocabulary and ``mu0_query >= mu0_build``.
+    position holding that similarity, as in the naive double loop. That rule
+    is :func:`_winners`, shared with :func:`search`. Requires images backed
+    by the indexed vocabulary and ``mu0_query >= mu0_build``.
     """
     mu0_query = check_threshold(mu0_query)
     if a.vocab is None or b.vocab is None:
         raise PreconditionError(_UNBACKED)
-    a_ids = a.word_ids
-    b_ids = b.word_ids
+    a_ids, b_ids = a.word_ids, b.word_ids
     _check_index(idx, mu0_query, max(int(a_ids.max()), int(b_ids.max())),
                  (a.vocab.checksum, b.vocab.checksum))
 
@@ -306,18 +319,14 @@ def psmi_match(a: ImageObject, b: ImageObject, mu0_query: float, idx: PsimIndex)
     first_pos = np.full(idx.size, n, dtype=np.int64)
     np.minimum.at(first_pos, b_ids, np.arange(n, dtype=np.int64))
 
-    # One segment of candidates per query word (never empty: every list
-    # holds its self entry). A candidate at or below the threshold, or
-    # absent from B, scores 0 and never wins.
-    flat, lengths, seg_offsets = _segments(idx.csr_offsets, a_ids)
-    cand_pos = first_pos[idx.csr_ids[flat]]
-    cand_sims = idx.csr_sims[flat]
-    cand_sims[(cand_sims <= mu0_query) | (cand_pos == n)] = 0.0
-
-    # The maximum, then the smallest B position holding it.
-    mu = np.maximum.reduceat(cand_sims, seg_offsets)
-    tied = np.where(cand_sims == np.repeat(mu, lengths), cand_pos, n)
-    partners = np.where(mu > 0.0, np.minimum.reduceat(tied, seg_offsets), -1)
+    # The entries whose word is in B, each at that word's first B position.
+    word, ids, sims = _entries(a_ids, mu0_query, idx)
+    pos = first_pos[ids]
+    found = (pos < n).nonzero()[0]
+    word, pos, sims = word[found], pos[found], sims[found]
+    win = _winners(word, pos, sims)
+    mu, partners = np.zeros(a_ids.size), np.full(a_ids.size, -1, dtype=np.int64)
+    mu[word[win]], partners[word[win]] = sims[win], pos[win]
     return MatchOutcome(mu, partners)
 
 
@@ -374,9 +383,9 @@ def search(query: ImageObject, corpus: Corpus, mu0: float, idx: PsimIndex) -> np
 
     Returns one score per image, in corpus order, bit-identical to the
     per-pair call. Each query word's list entries above ``mu0`` fan out to
-    their postings; per (image, query word) the maximum similarity wins,
-    ties to the smallest B position, and the score's sums are segment sums
-    over the images. Refuses what :func:`psmi_match` refuses.
+    their postings; per (image, query word) :func:`_winners` picks the
+    winner by :func:`psmi_match`'s rule, and the score's sums are segment
+    sums over the images. Refuses what :func:`psmi_match` refuses.
     """
     mu0 = check_threshold(mu0)
     if query.vocab is None:
@@ -386,24 +395,15 @@ def search(query: ImageObject, corpus: Corpus, mu0: float, idx: PsimIndex) -> np
                  (query.vocab.checksum, corpus.vocab_checksum))
     m = a_ids.size
 
-    # The query's list entries above the threshold, each with its query word.
-    flat, lengths, _ = _segments(idx.csr_offsets, a_ids)
-    keep = idx.csr_sims[flat] > mu0
-    flat = flat[keep]
-    entry_word = np.repeat(np.arange(m), lengths)[keep]
-
     # Every corpus position holding an entry's word is a candidate partner.
-    post, post_lengths, _ = _segments(corpus.word_offsets, idx.csr_ids[flat])
+    word, ids, sims = _entries(a_ids, mu0, idx)
+    post, post_lengths = _segments(corpus.word_offsets, ids)
     cand_pos = corpus.postings[post]
-    cand_word = np.repeat(entry_word, post_lengths)
-    cand_sims = np.repeat(idx.csr_sims[flat], post_lengths)
+    cand_word, cand_sims = np.repeat(word, post_lengths), np.repeat(sims, post_lengths)
     cand_image = corpus.owners[cand_pos]
 
-    # Per (image, query word): the maximum, then the smallest B position.
     # Winners come out in (image, query word) order, the per-pair sum order.
-    order = np.lexsort((cand_pos, -cand_sims, cand_word, cand_image))
-    group = (cand_image * m + cand_word)[order]
-    win = order[np.flatnonzero(np.diff(group, prepend=-1))]
+    win = _winners(cand_image * m + cand_word, cand_pos, cand_sims)
     image, word, pos, lam = cand_image[win], cand_word[win], cand_pos[win], cand_sims[win]
 
     aw = query.weights

@@ -135,6 +135,9 @@ def test_search_is_psmi_similarity_per_image(case):
     scores = search(query, Corpus.from_dataset(Dataset.from_images(targets)), mu0, index)
     want = np.array([psmi_similarity(query, b, mu0, index) for b in targets])
     assert scores.tobytes() == want.tobytes()
+    # smin shares no code with psmi's winner rule, so it checks that rule too.
+    naive = np.array([smin_similarity(query, b, mu0) for b in targets])
+    assert scores.tobytes() == naive.tobytes()
 
 
 @PROPERTY

@@ -64,11 +64,17 @@ def assert_csr_equals_reference(vocab, mu0):
 
 
 def assert_search_is_per_pair(query, images, mu0, idx):
-    """search over the images equals psmi_similarity per image, bit for bit."""
+    """search over the images equals psmi_similarity per image, bit for bit.
+
+    It also equals smin_similarity, which shares no code with psmi's winner
+    rule: a fault in that rule cannot hide by breaking both psmi paths alike.
+    """
     corpus = Corpus.from_dataset(Dataset.from_images(images))
     scores = search(query, corpus, mu0, idx)
     want = np.array([psmi_similarity(query, b, mu0, idx) for b in images])
     assert scores.dtype == np.float64 and scores.tobytes() == want.tobytes()
+    naive = np.array([smin_similarity(query, b, mu0) for b in images])
+    assert scores.tobytes() == naive.tobytes()
     return scores
 
 
