@@ -3,7 +3,10 @@
 An image is a weighted bag of visual words. Matching one image against
 another produces a :class:`MatchOutcome` (one best partner per query word,
 above a threshold), and :func:`image_similarity` turns a completed outcome
-into a score in ``[0, 1]``.
+into a score in ``[0, 1]``. The score itself is :func:`_pair_similarity`
+over the matched pairs; ``psmi_similarity`` and ``smii_similarity`` hand
+their matchers' pairs to it directly, with no outcome in between, and
+:func:`image_similarity` is the entry for an outcome a caller holds.
 
 All types are immutable after construction; every function here is pure, so
 any number of evaluations may run concurrently.
@@ -544,6 +547,26 @@ def _score(numerator, squared, unmatched_a, unmatched_b, total_a, total_b):
     return numerator / denominator
 
 
+def _pair_similarity(aw: np.ndarray, bw: np.ndarray, a_idx: np.ndarray, b_idx: np.ndarray,
+                     lam: np.ndarray) -> float:
+    """The score of the pairs ``(a_idx[i], b_idx[i])`` at similarities ``lam[i]``.
+
+    *aw* and *bw* are the two images' weights, *a_idx* the matched A
+    positions in ascending order. The unmatched masks come from the
+    indices, and the six sums are taken in one fixed order, so every
+    matcher's pairs score the same bits here. With no pair the score is 0.0.
+    """
+    if not a_idx.size:
+        return 0.0
+    wa, wb = aw[a_idx], bw[b_idx]
+    a_mask = np.ones(aw.size, dtype=bool)
+    a_mask[a_idx] = False
+    b_mask = np.ones(bw.size, dtype=bool)
+    b_mask[b_idx] = False
+    return float(_score(_sum(lam * wa * wb), _sum(lam * lam * wa * wb), _sum(aw[a_mask]),
+                        _sum(bw[b_mask]), _sum(aw), _sum(bw)))
+
+
 def image_similarity(a: ImageObject, b: ImageObject, match: MatchOutcome) -> float:
     """Score two images from a completed directional match (A against B).
 
@@ -552,23 +575,19 @@ def image_similarity(a: ImageObject, b: ImageObject, match: MatchOutcome) -> flo
     side. It lies in ``[0, 1]``; it is exactly 0 when nothing matched. Note
     the measure is directional and deliberately not symmetric, and an image
     scored against itself reaches 1 only in the single-word case.
+
+    This is the entry for a caller's :class:`MatchOutcome`: it checks that
+    the outcome covers A and points inside B, then calls the shared scorer.
     """
     # Weight validity (finite, in (0, 1]) and a non-empty word list are
     # enforced when an ImageObject is constructed, so they are not
     # re-checked on this hot path.
-    aw = a.weights
-    bw = b.weights
     if match.mu.size != a.word_count:
         raise ContractError("match does not cover image A (mu length mismatch)")
-    hit = match.partners >= 0
-    b_idx = match.partners[hit]
-    if not b_idx.size:
-        return 0.0
-    if int(b_idx.max()) >= b.word_count:
+    # The positions come from ``partners`` itself: the pair views would add
+    # a cached property and two read-only copies to every fresh outcome.
+    a_idx = (match.partners >= 0).nonzero()[0]
+    b_idx = match.partners[a_idx]
+    if b_idx.size and int(b_idx.max()) >= b.word_count:
         raise ContractError("match references B-side indices out of range")
-
-    lam, wa, wb = match.mu[hit], aw[hit], bw[b_idx]
-    b_mask = np.ones(b.word_count, dtype=bool)
-    b_mask[b_idx] = False
-    return float(_score(_sum(lam * wa * wb), _sum(lam * lam * wa * wb), _sum(aw[~hit]),
-                        _sum(bw[b_mask]), _sum(aw), _sum(bw)))
+    return _pair_similarity(a.weights, b.weights, a_idx, b_idx, match.mu[a_idx])

@@ -15,13 +15,17 @@ frequencies is derived from the frequencies alone, on demand, and serves
 code-length statistics only.
 
 Matching against this index never touches vectors at query time. Both
-:func:`psmi_match` (one pair) and :func:`search` (one query, a whole
+:func:`_psmi_pairs` (one pair) and :func:`search` (one query, a whole
 :class:`Corpus` through its postings) gather the query's entries above the
 query threshold (:func:`_entries`) and keep :func:`_winners`, psmi's one
 winner rule: the maximum, ties to the smallest target position. That is the
 naive double loop's rule, so outcomes are bit-identical whenever the query
 threshold is at least the build threshold, and search's scores equal
 :func:`psmi_similarity`'s bit for bit. List order is a file-format rule.
+:func:`psmi_similarity` scores one pair's winners directly through the
+shared scorer ``core._pair_similarity``; :func:`psmi_match` scatters them
+into a :class:`MatchOutcome`, which ``image_similarity`` scores through the
+same scorer.
 """
 
 from __future__ import annotations
@@ -38,13 +42,13 @@ from .core import (
     MatchOutcome,
     Vocabulary,
     _column,
+    _pair_similarity,
     _readonly,
     _score,
     _segment_sums,
     _sum,
     _word_id,
     check_threshold,
-    image_similarity,
 )
 from .errors import DomainError, PreconditionError, UnknownWordError
 from .matching import _pair_scores
@@ -298,14 +302,14 @@ def _winners(group: np.ndarray, pos: np.ndarray, sims: np.ndarray) -> np.ndarray
     return order[group != np.concatenate(([-1], group[:-1]))]
 
 
-def psmi_match(a: ImageObject, b: ImageObject, mu0_query: float, idx: PsimIndex) -> MatchOutcome:
-    """Match using only precomputed lists and id membership on B.
+def _psmi_pairs(a: ImageObject, b: ImageObject, mu0_query: float, idx: PsimIndex):
+    """psmi's winners of A in B: each matched query word, its B position and λ, in word order.
 
     For each query word, the largest list similarity above ``mu0_query``
     among the word ids that occur in B wins; its partner is the smallest B
     position holding that similarity, as in the naive double loop. That rule
-    is :func:`_winners`, shared with :func:`search`. Requires images backed
-    by the indexed vocabulary and ``mu0_query >= mu0_build``.
+    is :func:`_winners`, shared with :func:`search`. Refuses images not
+    backed by the indexed vocabulary and ``mu0_query < mu0_build``.
     """
     mu0_query = check_threshold(mu0_query)
     if a.vocab is None or b.vocab is None:
@@ -325,13 +329,27 @@ def psmi_match(a: ImageObject, b: ImageObject, mu0_query: float, idx: PsimIndex)
     found = (pos < n).nonzero()[0]
     word, pos, sims = word[found], pos[found], sims[found]
     win = _winners(word, pos, sims)
-    mu, partners = np.zeros(a_ids.size), np.full(a_ids.size, -1, dtype=np.int64)
-    mu[word[win]], partners[word[win]] = sims[win], pos[win]
+    return word[win], pos[win], sims[win]
+
+
+def psmi_match(a: ImageObject, b: ImageObject, mu0_query: float, idx: PsimIndex) -> MatchOutcome:
+    """Match using only precomputed lists and id membership on B.
+
+    :func:`_psmi_pairs`'s winners, scattered into a validated :class:`MatchOutcome`.
+    """
+    word, pos, lam = _psmi_pairs(a, b, mu0_query, idx)
+    mu, partners = np.zeros(a.word_count), np.full(a.word_count, -1, dtype=np.int64)
+    mu[word], partners[word] = lam, pos
     return MatchOutcome(mu, partners)
 
 
 def psmi_similarity(a: ImageObject, b: ImageObject, mu0: float, idx: PsimIndex) -> float:
-    return image_similarity(a, b, psmi_match(a, b, mu0, idx))
+    """``image_similarity(a, b, psmi_match(a, b, mu0, idx))``, bit for bit, with no outcome built.
+
+    The winners go straight to the shared scorer ``core._pair_similarity``;
+    the refusals are :func:`psmi_match`'s, raised by the same code.
+    """
+    return _pair_similarity(a.weights, b.weights, *_psmi_pairs(a, b, mu0, idx))
 
 
 @dataclass(frozen=True, eq=False)

@@ -9,7 +9,11 @@ row takes its first maximum, so results are bit-identical to
 
 The index is intentionally rebuilt on every match call: it belongs to one
 target image and is never reused across calls (reuse across the whole
-vocabulary is the job of :mod:`vwsim.psmi`).
+vocabulary is the job of :mod:`vwsim.psmi`). :func:`smii_similarity`
+scores the hit rows directly through the shared scorer
+``core._pair_similarity``; :func:`smii_match` builds the
+:class:`MatchOutcome` that ``image_similarity`` scores through the same
+scorer.
 """
 
 from __future__ import annotations
@@ -21,10 +25,10 @@ import numpy as np
 from .core import (
     ImageObject,
     MatchOutcome,
+    _pair_similarity,
     _readonly,
     as_vector,
     check_threshold,
-    image_similarity,
     unit_rows,
 )
 from .errors import ContractError
@@ -76,13 +80,25 @@ def query_top1(idx: TempIndex, q) -> tuple[int, float]:
     return int(best[0]), float(scores[0])
 
 
-def smii_match(a: ImageObject, b: ImageObject, mu0: float) -> MatchOutcome:
-    """Index-accelerated matching; output equals ``smin_match(a, b, mu0)``."""
+def _smii_top1(a: ImageObject, b: ImageObject, mu0: float):
+    """Each A word's best B position and similarity, and whether it clears ``mu0``."""
     mu0 = check_threshold(mu0)
     partners, mu = _top1(build_temp_index(b), a.vector_matrix())
-    hit = mu > mu0
+    return partners, mu, mu > mu0
+
+
+def smii_match(a: ImageObject, b: ImageObject, mu0: float) -> MatchOutcome:
+    """Index-accelerated matching; output equals ``smin_match(a, b, mu0)``."""
+    partners, mu, hit = _smii_top1(a, b, mu0)
     return MatchOutcome(np.where(hit, mu, 0.0), np.where(hit, partners, -1))
 
 
 def smii_similarity(a: ImageObject, b: ImageObject, mu0: float) -> float:
-    return image_similarity(a, b, smii_match(a, b, mu0))
+    """``image_similarity(a, b, smii_match(a, b, mu0))``, bit for bit, with no outcome built.
+
+    The hit rows of the top-1 answer go straight to the shared scorer
+    ``core._pair_similarity``.
+    """
+    partners, mu, hit = _smii_top1(a, b, mu0)
+    a_idx = hit.nonzero()[0]
+    return _pair_similarity(a.weights, b.weights, a_idx, partners[a_idx], mu[a_idx])

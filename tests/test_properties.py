@@ -27,6 +27,7 @@ from vwsim import (
     VisualWord,
     Vocabulary,
     build_psmi_index,
+    image_similarity,
     load_psmi,
     psmi_match,
     psmi_similarity,
@@ -120,6 +121,9 @@ def test_three_matchers_agree(case):
     score = smin_similarity(a, b, mu0)
     assert smii_similarity(a, b, mu0) == score
     assert psmi_similarity(a, b, mu0, index) == score
+    # The direct routes score what their validated outcomes score.
+    assert image_similarity(a, b, smii_match(a, b, mu0)) == score
+    assert image_similarity(a, b, psmi_match(a, b, mu0, index)) == score
     # Raw twins score the same bits under the vector matchers; psmi needs ids.
     raw_a, raw_b = raw_twin(a), raw_twin(b)
     assert smin_similarity(raw_a, raw_b, mu0) == score

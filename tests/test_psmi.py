@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import random_vocab, random_vocab_image
-from oracles import all_pairs_reference, brute_force_top1, huffman_cost_reference
+from oracles import (all_pairs_reference, brute_force_top1, huffman_cost_reference,
+                     similarity_reference)
 
 from vwsim import (
     ContractError,
@@ -12,6 +13,7 @@ from vwsim import (
     Dataset,
     DomainError,
     ImageObject,
+    MatchOutcome,
     PreconditionError,
     UnknownWordError,
     ValidationError,
@@ -21,6 +23,7 @@ from vwsim import (
     build_psmi_index,
     huffman_depths,
     huffman_search,
+    image_similarity,
     psmi_match,
     psmi_similarity,
     save_psmi,
@@ -541,6 +544,103 @@ class TestTiesOnTheMaximum:
                     top = row.max()
                     ties += top > mu0 and len(set(b.word_ids[row == top].tolist())) > 1
         assert ties >= 30
+
+
+def assert_direct_scores(a, b, mu0, idx):
+    """psmi_similarity and smii_similarity equal their outcomes' image_similarity
+    and smin_similarity, bit for bit; returns psmi's outcome and the score.
+
+    Every route ends in the one scorer, so the score is also held to the
+    plain-arithmetic oracle of psmi's pairs, which shares no code with it.
+    """
+    out = psmi_match(a, b, mu0, idx)
+    score = smin_similarity(a, b, mu0)
+    assert score == pytest.approx(similarity_reference(a.weights, b.weights, out.pairs),
+                                  rel=1e-12, abs=0.0)
+    assert image_similarity(a, b, out) == score
+    assert image_similarity(a, b, smii_match(a, b, mu0)) == score
+    assert psmi_similarity(a, b, mu0, idx) == score
+    assert smii_similarity(a, b, mu0) == score
+    return out, score
+
+
+class TestDirectScoring:
+    """psmi_similarity and smii_similarity score their matchers' pairs without
+    building a MatchOutcome; the outcome route is the reference."""
+
+    def test_weaker_candidate_first_in_b(self, tiny_vocab):
+        # Query word 0 meets word 1 (0.8) at B position 0, then itself (1.0);
+        # query word 2 finds nothing above 0.7 and stays unmatched.
+        idx = build_psmi_index(tiny_vocab, 0.7)
+        a = vocab_image(tiny_vocab, [0, 2], [1.0, 0.4], "a")
+        b = vocab_image(tiny_vocab, [1, 0], [0.9, 0.3], "b")
+        out, score = assert_direct_scores(a, b, 0.7, idx)
+        assert out.pairs == [(0, 1, 1.0)] and 0.0 < score < 1.0
+
+    def test_equal_similarity_tie_at_two_b_positions(self):
+        # Word 2 ties with words 1 and 0 (at B positions 1 and 2), after a
+        # weaker word 4 at position 0; word 3 matches nothing.
+        vocab = Vocabulary(vectors=unit_rows(np.array(
+            [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [-1.0, 0.0], [1.0, -0.2]])),
+            frequencies=np.ones(5, dtype=np.int64))
+        a = vocab_image(vocab, [2, 3], [1.0, 0.6], "a")
+        b = vocab_image(vocab, [4, 1, 0], [0.8, 0.5, 1.0], "b")
+        for mu0_build in (0.0, 0.5):
+            out, score = assert_direct_scores(a, b, 0.5, build_psmi_index(vocab, mu0_build))
+            assert out.pairs == [(0, 1, 0.7071067811865476)] and score > 0.0
+
+    def test_repeated_b_word_ids(self, tiny_vocab):
+        # Words 0 and 1 each sit twice in B; query word 1 takes its own first
+        # position over word 0's earlier, weaker ones.
+        idx = build_psmi_index(tiny_vocab, 0.7)
+        a = vocab_image(tiny_vocab, [1, 2], [1.0, 0.3], "a")
+        b = vocab_image(tiny_vocab, [0, 1, 0, 1], [0.2, 0.9, 0.7, 0.4], "b")
+        out, score = assert_direct_scores(a, b, 0.7, idx)
+        assert out.pairs == [(0, 1, 1.0)] and score > 0.0
+
+    def test_no_pair_scores_exactly_zero(self, tiny_vocab):
+        idx = build_psmi_index(tiny_vocab, 0.7)
+        a, b = vocab_image(tiny_vocab, [2], name="a"), vocab_image(tiny_vocab, [0, 0], name="b")
+        out, score = assert_direct_scores(a, b, 0.7, idx)
+        assert out.pair_count == 0 and score == 0.0
+        assert type(psmi_similarity(a, b, 0.7, idx)) is float
+
+    @pytest.mark.parametrize("case", ["unbacked", "threshold", "word id", "checksum", "underflow"])
+    def test_refuses_what_the_outcome_route_refuses(self, tiny_vocab, case):
+        idx = build_psmi_index(tiny_vocab, 0.7)
+        own = vocab_image(tiny_vocab, [0, 1], name="own")
+        wide = random_vocab(np.random.RandomState(127), 10, 2)
+        foreign = random_vocab(np.random.RandomState(131), tiny_vocab.size, 2)
+        tiny = vocab_image(tiny_vocab, [0], [1e-170], "tiny")
+        a, b, mu0 = {
+            "unbacked": (own, ImageObject("raw", np.ones(1), vectors=[[1.0, 0.0]]), 0.7),
+            "threshold": (own, own, 0.5),
+            "word id": (vocab_image(wide, [7]), own, 0.7),
+            "checksum": (vocab_image(foreign, [0, 1]), own, 0.7),
+            "underflow": (tiny, tiny, 0.7),
+        }[case]
+        refusal = DomainError if case == "underflow" else PreconditionError
+        with pytest.raises(refusal) as via_outcome:
+            image_similarity(a, b, psmi_match(a, b, mu0, idx))
+        with pytest.raises(refusal) as direct:
+            psmi_similarity(a, b, mu0, idx)
+        assert type(direct.value) is type(via_outcome.value)
+        assert str(direct.value) == str(via_outcome.value)
+
+    def test_similarity_builds_no_outcome(self, tiny_vocab, monkeypatch):
+        built = []
+        post_init = MatchOutcome.__post_init__
+        monkeypatch.setattr(MatchOutcome, "__post_init__",
+                            lambda out: built.append(out) or post_init(out))
+        idx = build_psmi_index(tiny_vocab, 0.7)
+        a = vocab_image(tiny_vocab, [0, 2], name="a")
+        b = vocab_image(tiny_vocab, [1, 0], name="b")
+        assert psmi_similarity(a, b, 0.7, idx) > 0.0 and smii_similarity(a, b, 0.7) > 0.0
+        assert built == []
+        psmi_match(a, b, 0.7, idx)
+        assert len(built) == 1
+        smii_match(a, b, 0.7)
+        assert len(built) == 2
 
 
 class TestPsmiPreconditions:
