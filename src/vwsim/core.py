@@ -240,10 +240,12 @@ def _fnv1a(h: int, data) -> int:
             bit = 1 << k
             flags[0] = h & bit  # seeds the scan with bit k of L_0
             np.bitwise_and(b ^ ((low[:-1] ^ b) & (bit - 1)) * 0xB3, bit, out=flags[1:])
-            low |= _prefix_xor(flags) << k
+            bits = _prefix_xor(flags)
+            bits *= bit
+            low |= bits
         blocks = -(-n // _FNV_BLOCK)
         delta = np.zeros(blocks * _FNV_BLOCK, np.int64)  # zero-padded at the front
-        np.subtract(low[:-1] ^ b, low[:-1], out=delta[delta.size - n:], dtype=np.int64)
+        delta[delta.size - n:] = np.subtract(low[:-1] ^ b, low[:-1], dtype=np.int16)
         sums = delta.view(np.uint64).reshape(blocks, _FNV_BLOCK) @ _FNV_POWERS
         power_sum = int(sums @ _FNV_BLOCK_POWERS[-blocks:])
         h = (h * pow(_FNV_PRIME, n, 1 << 64) + power_sum) % (1 << 64)

@@ -141,21 +141,28 @@ def _json_int(value) -> int:
 
 
 def load_vocabulary(path) -> Vocabulary:
-    text = Path(path).read_text(encoding="utf-8")
+    """The :class:`Vocabulary` of a JSON-lines file, one word per line.
+
+    The file is read line by line, as :func:`load_images` reads, so lines
+    split at ``\n``, ``\r`` and ``\r\n`` and blank lines are skipped. Word
+    ids must run from 0 to ``K - 1`` in any order. A refusal names the file
+    and, when an entry is at fault, its line.
+    """
     entries: dict[int, tuple[int, list]] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            rec = json.loads(line)
-            wid = _json_int(rec["word_id"])
-            freq = _json_int(rec["frequency"])
-            vec = rec["vector"]
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise ValidationError(f"{path}: line {lineno}: malformed vocabulary entry ({exc})") from exc
-        if wid in entries:
-            raise ValidationError(f"{path}: line {lineno}: duplicate word id {wid}")
-        entries[wid] = (freq, vec)
+    with open(path, encoding="utf-8") as text:
+        for lineno, line in enumerate(text, start=1):
+            if not line.strip():
+                continue
+            try:
+                rec = json.loads(line)
+                wid = _json_int(rec["word_id"])
+                freq = _json_int(rec["frequency"])
+                vec = rec["vector"]
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
+                raise ValidationError(f"{path}: line {lineno}: malformed vocabulary entry ({exc})") from exc
+            if wid in entries:
+                raise ValidationError(f"{path}: line {lineno}: duplicate word id {wid}")
+            entries[wid] = (freq, vec)
     if not entries:
         raise ValidationError(f"{path}: vocabulary file has no entries")
     size = len(entries)

@@ -2,12 +2,14 @@
 
 For every vocabulary word, precompute the list of all other words whose
 clamped cosine exceeds a build threshold: self first (at exactly 1.0), then
-descending similarity, then ascending id. The build is a half-join: row
-tiles of a float32 product over the upper triangle only, cut below the
-build threshold by a proven error bound, so that every pair the exact
+descending similarity, then ascending id. The build is a half-join: fixed
+1 MiB tiles of a float32 product over the upper triangle only, cut below
+the build threshold by a proven error bound, so that every pair the exact
 kernel keeps is a candidate. The candidates are rescored exactly in
 float64, each off-diagonal entry is mirrored into its partner's list, and
-one stable four-key sort lays out the lists. The index is three CSR arrays
+two stable sorts lay out the lists, by similarity and then by word; the
+mirrors go ahead of the other entries, so ties keep ascending id with no
+id key. The index is three CSR arrays
 holding all lists back to back, and they are its only copy: a word's list
 is the read-only ``(ids, sims)`` slice pair that :func:`huffman_search`
 returns, and no object is built per list entry. The Huffman tree over the word
@@ -187,13 +189,18 @@ class PsimIndex:
         return cls(mu0_build, vocab_checksum, dimension, frequencies, offsets, ids, sims)
 
 
+# The build's float32 tile: 256 rows by 1024 columns, 1 MiB, which stays in cache.
+_TILE_ROWS, _TILE_COLS = 256, 1024
+
+
 def build_psmi_index(vocab: Vocabulary, mu0_build: float) -> PsimIndex:
     """Precompute every word's potential similar words above ``mu0_build``.
 
-    The kernel commutes, so the join covers the upper triangle only: each
-    tile multiplies rows ``lo:lo + chunk`` by columns ``lo:K`` of the unit
-    matrix rounded to float32 (about 4 M values a tile), and keeps the flat
-    positions above ``cut = mu0_build - (d + 2) * 2**-23`` with ``row <= col``.
+    The kernel commutes, so the join covers the upper triangle only: it walks
+    ``_TILE_ROWS x _TILE_COLS`` tiles of the unit matrix rounded to float32
+    (1 MiB each), row tile ``lo:lo + _TILE_ROWS`` against the column tiles
+    from ``lo`` on, and keeps the positions above
+    ``cut = mu0_build - (d + 2) * 2**-23`` with ``row <= col``.
 
     The cut loses no pair. For unit float64 rows ``u, v`` with float32
     roundings ``û, v̂`` (``|û_i - u_i| <= 2**-24 |u_i|``), Cauchy-Schwarz gives
@@ -207,13 +214,18 @@ def build_psmi_index(vocab: Vocabulary, mu0_build: float) -> PsimIndex:
     own rounding to float32 (at most ``2**-25``). A pair the kernel keeps
     has a float64 dot product above ``mu0_build`` (clamping only lowers it),
     or is an identical pair within ``1e-9`` of 1, so its float32 product
-    clears the cut.
+    clears the cut. The bound holds for any tile shape and BLAS blocking.
 
     Each tile's candidates are rescored through the shared kernel, so stored
     similarities match what the naive matcher computes and every self entry
     is exactly 1.0. Each off-diagonal entry ``(r, c, s)`` is mirrored as
-    ``(c, r, s)``: ``np.dot`` gives the two orders bit for bit. One stable
-    four-key sort lays out the lists.
+    ``(c, r, s)``: ``np.dot`` gives the two orders bit for bit. Two stable
+    sorts lay out the lists: by similarity descending (self entries keyed
+    below every similarity, so they come first), then by word id. Ties keep
+    the order the entries arrive in, and within each word that is ascending
+    id: the mirrors go first and hold the ids below the word, in the row
+    order of the tiles, and the self and upper entries follow with the ids
+    from the word on, in column order.
     """
     mu0_build = check_threshold(mu0_build)
     unit = vocab.unit_matrix
@@ -221,27 +233,36 @@ def build_psmi_index(vocab: Vocabulary, mu0_build: float) -> PsimIndex:
     unit32 = unit.astype(np.float32)
     unit32_t = np.ascontiguousarray(unit32.T)
 
-    chunk = max(1, (1 << 22) // k)
     cut = mu0_build - (d + 2) * 2.0**-23
     row_parts, col_parts, sim_parts = [], [], []
-    for lo in range(0, k, chunk):
-        flat = np.flatnonzero(unit32[lo:lo + chunk] @ unit32_t[:, lo:] > cut)
-        rows, cols = np.divmod(flat, k - lo)
-        upper = rows <= cols
-        rows, cols = rows[upper] + lo, cols[upper] + lo
-        sims = _pair_scores(unit[rows], unit[cols])
-        keep = sims > mu0_build
-        row_parts.append(rows[keep])
-        col_parts.append(cols[keep])
-        sim_parts.append(sims[keep])
+    for lo in range(0, k, _TILE_ROWS):
+        tile_rows = unit32[lo:lo + _TILE_ROWS]
+        for left in range(lo, k, _TILE_COLS):
+            tile = tile_rows @ unit32_t[:, left:left + _TILE_COLS]
+            rows, cols = np.divmod(np.flatnonzero(tile > cut), tile.shape[1])
+            rows += lo
+            cols += left
+            if left < lo + _TILE_ROWS:  # the tile crosses the diagonal
+                upper = rows <= cols
+                rows, cols = rows[upper], cols[upper]
+            sims = _pair_scores(unit[rows], unit[cols])
+            keep = sims > mu0_build
+            row_parts.append(rows[keep])
+            col_parts.append(cols[keep])
+            sim_parts.append(sims[keep])
     rows, cols, sims = (np.concatenate(parts) for parts in (row_parts, col_parts, sim_parts))
     off = rows != cols
-    rows, cols = np.concatenate((rows, cols[off])), np.concatenate((cols, rows[off]))
-    sims = np.concatenate((sims, sims[off]))
+    rows, cols = np.concatenate((cols[off], rows)), np.concatenate((rows[off], cols))
+    sims = np.concatenate((sims[off], sims))
 
     # Per word: self first (even ahead of another word at 1.0), then descending
-    # similarity, then ascending id.
-    order = np.lexsort((cols, -sims, rows != cols, rows))
+    # similarity, then ascending id, which is the order of arrival.
+    key = -sims
+    key[rows == cols] = -np.inf
+    order = np.argsort(key, kind="stable")
+    # Stable by word id, as two 16-bit passes, which numpy sorts by radix.
+    for shift in (0, 16):
+        order = order[np.argsort((rows[order] >> shift).astype(np.uint16), kind="stable")]
     return PsimIndex(
         mu0_build=mu0_build,
         vocab_checksum=vocab.checksum,

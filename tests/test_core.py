@@ -21,8 +21,10 @@ from vwsim import (
     build_temp_index,
     cosine,
     image_similarity,
+    load_vocabulary,
     normalize_weights,
     psmi_similarity,
+    save_vocabulary,
     smii_similarity,
     smin_match,
     smin_similarity,
@@ -37,6 +39,16 @@ def make_raw_image(name, vectors, weights):
 
 def outcome(mu, partners):
     return MatchOutcome.from_arrays(np.asarray(mu, dtype=float), np.asarray(partners))
+
+
+def traced_peak(call) -> int:
+    """The peak of the memory ``tracemalloc`` traces while *call* runs, in bytes."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def _from_lists(frequencies, csr_offsets, csr_ids, csr_sims, **scalars):
@@ -538,10 +550,20 @@ class TestChecksum:
         # K = 10 000, d = 16 is a 1.4 MB payload; hashed in one pass, its
         # temporaries would peak near 28 MiB.
         vocab = random_vocab(np.random.RandomState(10_016), 10_000, 16)
-        tracemalloc.start()
-        try:
-            vocab.checksum
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 8 << 20
+        assert traced_peak(lambda: vocab.checksum) < 8 << 20
+
+    def test_index_build_works_in_bounded_memory(self):
+        # Its temporaries are the 1 MiB float32 tile, the candidates and the
+        # 97 k entries laid out by two stable sorts; one 4 M-value tile and a
+        # four-key sort peaked near 21 MiB.
+        vocab = random_vocab(np.random.RandomState(10_016), 10_000, 16)
+        vocab.unit_matrix, vocab.checksum
+        assert traced_peak(lambda: build_psmi_index(vocab, 0.7)) < 16 << 20
+
+    def test_vocabulary_loads_in_bounded_memory(self, tmp_path):
+        # The 3.7 MB file is read line by line; holding its text and the
+        # text's lines as well peaked near 14.4 MiB.
+        path = tmp_path / "vocab.jsonl"
+        save_vocabulary(random_vocab(np.random.RandomState(10_016), 10_000, 16), path)
+        assert traced_peak(lambda: load_vocabulary(path)) < 12 << 20
+

@@ -80,6 +80,24 @@ class TestVocabularyFiles:
         with pytest.raises(ValidationError, match="line 2"):
             load_vocabulary(path)
 
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"])
+    def test_crlf_and_cr_files_load_equal_to_lf(self, tmp_path, newline):
+        vocab = random_vocab(np.random.RandomState(137), 9, 3)
+        lf, other = tmp_path / "lf.jsonl", tmp_path / "other.jsonl"
+        save_vocabulary(vocab, lf)
+        other.write_bytes(lf.read_bytes().replace(b"\n", newline.encode()))
+        loaded = load_vocabulary(other)
+        assert loaded.vectors.tobytes() == load_vocabulary(lf).vectors.tobytes()
+        assert loaded.checksum == vocab.checksum
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_malformed_line_after_blank_line_reports_line_number(self, tmp_path, newline):
+        path = tmp_path / "vocab.jsonl"
+        good = json.dumps({"word_id": 0, "frequency": 1, "vector": [1.0, 0.0]})
+        path.write_bytes(newline.join([good, "", '{"word_id": 1}', ""]).encode())
+        with pytest.raises(ValidationError, match="line 3: malformed"):
+            load_vocabulary(path)
+
 
 class TestImageFiles:
     def test_round_trip_weights(self, tmp_path):

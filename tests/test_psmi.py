@@ -36,6 +36,7 @@ from vwsim import (
 )
 from vwsim.core import unit_rows
 from vwsim.matching import _pair_score, _pair_scores, cosine
+from vwsim.psmi import _TILE_COLS as COLS, _TILE_ROWS as ROWS
 
 
 def vocab_image(vocab, ids, weights=None, name="img"):
@@ -134,8 +135,9 @@ class TestBuild:
                 tied += int(np.count_nonzero(sims[2:] == sims[1:-1]))
         assert tied >= 1000
 
-    # K = 2049 is the first size the row chunk (1 << 22) // K splits (2047 + 2
-    # rows); K = 3000 gives three tiles. mu0 = 0 keeps about half of all pairs.
+    # The build walks ROWS x COLS tiles of the upper triangle. Sizes sit just
+    # below, at and just above each tile side; ROWS + 1 and 2 * ROWS + 1 leave
+    # a one-row last row tile. mu0 = 0 keeps about half of all pairs.
     @pytest.mark.parametrize("size, dim, mu0", [
         (1, 3, 0.0), (1, 64, 0.9),
         (2, 1, 0.0), (2, 2, 0.3), (2, 16, 0.999),
@@ -144,6 +146,9 @@ class TestBuild:
         (2049, 2, 0.0), (2049, 3, 0.9), (2049, 16, 0.7),
         (3000, 3, 0.999), (3000, 16, 0.7), (3000, 64, 0.3),
         pytest.param(30000, 32, 0.7, marks=pytest.mark.slow),
+        (ROWS - 1, 3, 0.0), (ROWS, 2, 0.3), (ROWS + 1, 3, 0.0), (ROWS + 1, 16, 0.7),
+        (2 * ROWS + 1, 2, 0.5),
+        (COLS - 1, 3, 0.3), (COLS, 2, 0.0), (COLS + 1, 3, 0.7), (COLS + 1, 16, 0.3),
     ])
     def test_csr_equals_full_product_build(self, size, dim, mu0):
         assert_csr_equals_reference(random_vocab(np.random.RandomState(size + dim), size, dim), mu0)
@@ -154,6 +159,19 @@ class TestBuild:
         grid = grid_vocab()
         vocab = Vocabulary(vectors=np.concatenate((grid.vectors, grid.vectors[::-1])),
                            frequencies=np.ones(2 * grid.size, dtype=np.int64))
+        assert_csr_equals_reference(vocab, mu0)
+
+    @pytest.mark.parametrize("mu0", [0.0, 0.5, 0.9])
+    def test_csr_equals_full_product_build_on_tied_grid_across_tiles(self, mu0):
+        # The grid and its reverse, stacked until they span three row tiles and
+        # two column tiles: ties and twins also meet across tiles, where a
+        # word's mirrors (its lower ids) come from other tiles than its upper
+        # entries.
+        grid = grid_vocab().vectors
+        reps = -(-max(2 * ROWS, COLS) // (2 * len(grid))) + 1
+        vectors = np.concatenate((grid, grid[::-1]) * reps)
+        assert len(vectors) > max(2 * ROWS, COLS)
+        vocab = Vocabulary(vectors=vectors, frequencies=np.ones(len(vectors), dtype=np.int64))
         assert_csr_equals_reference(vocab, mu0)
 
     def test_pair_whose_float32_product_falls_below_threshold_is_kept(self):
