@@ -47,7 +47,7 @@ from .io import (
     save_truth,
     save_vocabulary,
 )
-from .matching import best_match, cosine, smin_match, smin_similarity
+from .matching import cosine, smin_match, smin_similarity
 from .psmi import (
     Corpus,
     HuffmanNode,
@@ -63,7 +63,7 @@ from .psmi import (
 )
 from .quantize import assign_words, kmeans_quantize, tfidf_weights
 from .synth import GeneratorConfig, generate_synthetic, perturb_image, zipf_probabilities
-from .temp_index import TempIndex, build_temp_index, query_top1, smii_match, smii_similarity
+from .temp_index import build_temp_index, query_top1, smii_match, smii_similarity
 
 __version__ = "0.1.0"
 
@@ -82,14 +82,12 @@ __all__ = [
     "MatchOutcome",
     "PreconditionError",
     "PsimIndex",
-    "TempIndex",
     "UnknownWordError",
     "ValidationError",
     "VisualWord",
     "Vocabulary",
     "VwsimError",
     "assign_words",
-    "best_match",
     "build_huffman_tree",
     "build_psmi_index",
     "build_temp_index",

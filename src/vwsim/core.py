@@ -3,10 +3,13 @@
 An image is a weighted bag of visual words. Matching one image against
 another produces a :class:`MatchOutcome` (one best partner per query word,
 above a threshold), and :func:`image_similarity` turns a completed outcome
-into a score in ``[0, 1]``. The score itself is :func:`_pair_similarity`
-over the matched pairs; ``psmi_similarity`` and ``smii_similarity`` hand
-their matchers' pairs to it directly, with no outcome in between, and
-:func:`image_similarity` is the entry for an outcome a caller holds.
+into a score in ``[0, 1]``. Each matcher yields its pairs as
+``(a_idx, b_idx, lam)``, matched A positions ascending: :func:`_outcome`
+builds the validated :class:`MatchOutcome` of the ``*_match`` functions
+from them, and :func:`_pair_similarity` scores them. The ``*_similarity``
+functions hand their pairs to the scorer directly, with no outcome in
+between, and :func:`image_similarity` is the entry for an outcome a caller
+holds.
 
 All types are immutable after construction; every function here is pure, so
 any number of evaluations may run concurrently.
@@ -503,6 +506,16 @@ class MatchOutcome:
         if not isinstance(other, MatchOutcome):
             return NotImplemented
         return np.array_equal(self.mu, other.mu) and np.array_equal(self.partners, other.partners)
+
+
+def _outcome(m: int, a_idx: np.ndarray, b_idx: np.ndarray, lam: np.ndarray) -> MatchOutcome:
+    """The :class:`MatchOutcome` of *m* query words with pairs ``(a_idx[i], b_idx[i])`` at ``lam[i]``.
+
+    This is the one place a matcher's pairs become an outcome.
+    """
+    mu, partners = np.zeros(m), np.full(m, -1, dtype=np.int64)
+    mu[a_idx], partners[a_idx] = lam, b_idx
+    return MatchOutcome(mu, partners)
 
 
 def normalize_weights(raw: Sequence[float]) -> np.ndarray:

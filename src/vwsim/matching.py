@@ -2,9 +2,13 @@
 
 For every word of the query image A, find the single most similar word of
 image B by cosine (clamped to ``[0, 1]``), keep it only if it exceeds the
-threshold ``mu0`` strictly. :func:`smin_match` is the straightforward
+threshold ``mu0`` strictly. :func:`_smin_pairs` is the straightforward
 double-loop realization; the indexed matchers in :mod:`vwsim.temp_index`
-and :mod:`vwsim.psmi` must return bit-identical outcomes.
+and :mod:`vwsim.psmi` must yield bit-identical pairs. Every matcher yields
+its pairs as ``(a_idx, b_idx, lam)``, matched A positions ascending: the
+``*_match`` functions hand them to ``core._outcome``, which builds the
+:class:`MatchOutcome`, and the ``*_similarity`` functions to the shared
+scorer ``core._pair_similarity``.
 
 Two rules make the outcome unique and therefore comparable across
 implementations:
@@ -18,23 +22,21 @@ Raw vectors stop at :func:`vwsim.core.unit_rows`: the kernel reads unit rows onl
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
-
 import numpy as np
 
 from .core import (
     ImageObject,
     MatchOutcome,
-    VisualWord,
+    _outcome,
+    _pair_similarity,
     as_vector,
     check_threshold,
-    image_similarity,
     unit_rows,
     unit_vector,
 )
-from .errors import ContractError, DomainError
+from .errors import ContractError
 
-__all__ = ["cosine", "best_match", "smin_match", "smin_similarity"]
+__all__ = ["cosine", "smin_match", "smin_similarity"]
 
 # Values this close to 1 trigger the identical-row check (a unit vector
 # dotted with itself can fall short of 1.0 by a few ulp only).
@@ -102,58 +104,31 @@ def cosine(a, b) -> float:
     return _pair_score(unit_vector(va), unit_vector(vb))
 
 
-def _word_vector(word) -> np.ndarray:
-    if isinstance(word, VisualWord):
-        return word.vector
-    return as_vector(word)
+def _smin_pairs(a: ImageObject, b: ImageObject, mu0: float):
+    """smin's pairs of A in B: each matched A position, its B position and λ, ascending.
 
-
-def best_match(a_word, b_words: Sequence, mu0: float) -> tuple[float, Optional[int]]:
-    """Best partner of one query word among candidate words.
-
-    Returns ``(similarity, index)`` when the maximum clamped cosine exceeds
-    ``mu0`` strictly, else ``(0.0, None)``. Accepts :class:`VisualWord`
-    objects or bare vectors for both sides.
-    """
-    mu0 = check_threshold(mu0)
-    if len(b_words) == 0:
-        raise DomainError("candidate word list is empty")
-    raw_q = _word_vector(a_word)
-    raw_b = [_word_vector(w) for w in b_words]
-    if any(v.size != raw_q.size for v in raw_b):
-        raise ContractError("query and candidate dimensions differ")
-    best, best_j = _scan_best(list(unit_rows(np.stack(raw_b))), unit_vector(raw_q))
-    if best > mu0:
-        return best, best_j
-    return 0.0, None
-
-
-def smin_match(a: ImageObject, b: ImageObject, mu0: float) -> MatchOutcome:
-    """Match every word of *a* against all words of *b* by exhaustive scan.
-
-    Semantically this is ``word_count(a)`` independent :func:`best_match`
-    invocations, assembled in canonical (ascending query index) order.
+    Every A word scans all of B with :func:`_scan_best` and keeps its best
+    partner when the similarity exceeds ``mu0`` strictly.
     """
     mu0 = check_threshold(mu0)
     raw_a = a.vector_matrix()
     raw_b = b.vector_matrix()
     if raw_a.shape[1] != raw_b.shape[1]:
         raise ContractError("images have different vector dimensions")
-    unit_a = unit_rows(raw_a)
     # A plain list keeps the inner loop free of repeated fancy-index overhead.
     ub_rows = list(unit_rows(raw_b))
+    best = [_scan_best(ub_rows, u) for u in unit_rows(raw_a)]
+    lam = np.array([s for s, _ in best])
+    b_idx = np.array([j for _, j in best], dtype=np.int64)
+    a_idx = (lam > mu0).nonzero()[0]
+    return a_idx, b_idx[a_idx], lam[a_idx]
 
-    m = a.word_count
-    mu = np.zeros(m, dtype=np.float64)
-    partners = np.full(m, -1, dtype=np.int64)
-    for i in range(m):
-        best, best_j = _scan_best(ub_rows, unit_a[i])
-        if best > mu0:
-            mu[i] = best
-            partners[i] = best_j
-    return MatchOutcome(mu, partners)
+
+def smin_match(a: ImageObject, b: ImageObject, mu0: float) -> MatchOutcome:
+    """Match every word of *a* against all words of *b* by exhaustive scan."""
+    return _outcome(a.word_count, *_smin_pairs(a, b, mu0))
 
 
 def smin_similarity(a: ImageObject, b: ImageObject, mu0: float) -> float:
-    """Full naive pipeline: match then score."""
-    return image_similarity(a, b, smin_match(a, b, mu0))
+    """``image_similarity(a, b, smin_match(a, b, mu0))``, bit for bit, with no outcome built."""
+    return _pair_similarity(a.weights, b.weights, *_smin_pairs(a, b, mu0))

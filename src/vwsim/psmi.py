@@ -24,10 +24,10 @@ winner rule: the maximum, ties to the smallest target position. That is the
 naive double loop's rule, so outcomes are bit-identical whenever the query
 threshold is at least the build threshold, and search's scores equal
 :func:`psmi_similarity`'s bit for bit. List order is a file-format rule.
-:func:`psmi_similarity` scores one pair's winners directly through the
-shared scorer ``core._pair_similarity``; :func:`psmi_match` scatters them
-into a :class:`MatchOutcome`, which ``image_similarity`` scores through the
-same scorer.
+:func:`_psmi_pairs` yields one pair's winners as ``(a_idx, b_idx, lam)``,
+the shape every matcher yields: :func:`psmi_match` hands them to
+``core._outcome`` and :func:`psmi_similarity` to the shared scorer
+``core._pair_similarity``.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ from .core import (
     MatchOutcome,
     Vocabulary,
     _column,
+    _outcome,
     _pair_similarity,
     _readonly,
     _score,
@@ -324,7 +325,7 @@ def _winners(group: np.ndarray, pos: np.ndarray, sims: np.ndarray) -> np.ndarray
 
 
 def _psmi_pairs(a: ImageObject, b: ImageObject, mu0_query: float, idx: PsimIndex):
-    """psmi's winners of A in B: each matched query word, its B position and λ, in word order.
+    """psmi's pairs of A in B: each matched A position, its B position and λ, ascending.
 
     For each query word, the largest list similarity above ``mu0_query``
     among the word ids that occur in B wins; its partner is the smallest B
@@ -356,12 +357,9 @@ def _psmi_pairs(a: ImageObject, b: ImageObject, mu0_query: float, idx: PsimIndex
 def psmi_match(a: ImageObject, b: ImageObject, mu0_query: float, idx: PsimIndex) -> MatchOutcome:
     """Match using only precomputed lists and id membership on B.
 
-    :func:`_psmi_pairs`'s winners, scattered into a validated :class:`MatchOutcome`.
+    :func:`_psmi_pairs`'s winners, built into an outcome by ``core._outcome``.
     """
-    word, pos, lam = _psmi_pairs(a, b, mu0_query, idx)
-    mu, partners = np.zeros(a.word_count), np.full(a.word_count, -1, dtype=np.int64)
-    mu[word], partners[word] = lam, pos
-    return MatchOutcome(mu, partners)
+    return _outcome(a.word_count, *_psmi_pairs(a, b, mu0_query, idx))
 
 
 def psmi_similarity(a: ImageObject, b: ImageObject, mu0: float, idx: PsimIndex) -> float:

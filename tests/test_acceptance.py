@@ -208,7 +208,10 @@ class TestCriterion5PerformanceOrdering:
     per matcher: the fast one gets nine repetitions (at ~0.1 ms/pair a
     transient load burst can tilt a median of three, and nine 0.12 s passes
     are cheap), the slow one gets the median ratio over three independent
-    sweeps (its per-point variance sits between runs, not within them)."""
+    sweeps (its per-point variance sits between runs, not within them).
+    The smin sweeps alternate their point order, 20 then 100, 100 then 20,
+    20 then 100, so a steady drift in host speed tilts their ratios in
+    opposite directions instead of all the same way."""
 
     @staticmethod
     def _sweep(algorithms, m_values, repetitions):
@@ -223,8 +226,8 @@ class TestCriterion5PerformanceOrdering:
         top = self._sweep(("smin", "smii", "psmi"), (100,), repetitions=3)
         offline = self._sweep(("psmi",), (20, 100), repetitions=9)
         naive_ratios = []
-        for _ in range(3):
-            naive = self._sweep(("smin",), (20, 100), repetitions=3)
+        for m_values in ((20, 100), (100, 20), (20, 100)):
+            naive = self._sweep(("smin",), m_values, repetitions=3)
             naive_ratios.append(naive[("smin", 100)] / naive[("smin", 20)])
         elapsed = time.perf_counter() - start
 
@@ -235,7 +238,7 @@ class TestCriterion5PerformanceOrdering:
         report(capsys, 5, ok,
                f"per-pair at m=100: psmi {top[('psmi', 100)]:.0f}us < smii "
                f"{top[('smii', 100)]:.0f}us < smin {top[('smin', 100)]:.0f}us; psmi growth "
-               f"20->100 {psmi_growth * 100:+.1f}% (<25%), smin growth {smin_growth:.1f}x "
+               f"20->100 {psmi_growth * 100:+.1f}% (<25%), smin growth {smin_growth:.2f}x "
                f"(>=4x); sweeps took {elapsed:.0f}s")
 
 

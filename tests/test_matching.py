@@ -4,8 +4,8 @@ import pytest
 from conftest import random_raw_image, random_vocab, random_vocab_image
 from oracles import brute_force_match
 
-from vwsim import (ContractError, DomainError, ImageObject, VisualWord, best_match, cosine,
-                   smii_match, smin_match, smin_similarity)
+from vwsim import (ContractError, DomainError, ImageObject, VisualWord, build_psmi_index, cosine,
+                   psmi_match, smii_match, smin_match, smin_similarity)
 
 
 class TestCosine:
@@ -56,44 +56,20 @@ class TestCosine:
                 cosine(v, v)
 
 
-class TestBestMatch:
-    def test_picks_global_maximum(self):
-        mu, j = best_match([1.0, 0.0], [[0.8, 0.6], [1.0, 0.0]], 0.7)
-        assert (mu, j) == (1.0, 1)
+class TestThresholdType:
+    """Every matcher takes its threshold through ``core.check_threshold``."""
 
-    def test_below_threshold_returns_unmatched(self):
-        mu, j = best_match([0.0, 1.0], [[0.8, 0.6], [1.0, 0.0]], 0.7)
-        assert mu == 0.0 and j is None
-
-    def test_singleton_identity(self):
-        mu, j = best_match([1.0, 0.0], [[1.0, 0.0]], 0.0)
-        assert (mu, j) == (1.0, 0)
-
-    def test_accepts_visual_words(self):
-        a = VisualWord(None, [1.0, 0.0], 1.0)
-        bs = [VisualWord(None, [0.0, 1.0], 1.0), VisualWord(None, [1.0, 0.1], 1.0)]
-        mu, j = best_match(a, bs, 0.5)
-        assert j == 1 and mu > 0.99
-
-    def test_threshold_is_strict(self):
-        # max cosine exactly 1.0 with mu0 just below passes; equality would not.
-        mu, j = best_match([1.0, 0.0], [[1.0, 0.0]], 0.999999)
-        assert (mu, j) == (1.0, 0)
-
-    def test_empty_candidates(self):
-        with pytest.raises(DomainError):
-            best_match([1.0, 0.0], [], 0.5)
-
-    def test_ragged_candidates(self):
-        with pytest.raises(ContractError):
-            best_match([1.0, 0.0], [[1.0, 0.0], [1.0, 0.0, 0.0]], 0.5)
-
-    def test_bad_threshold(self):
+    @pytest.mark.parametrize("algo", ["smin", "smii", "psmi"])
+    def test_bad_threshold(self, tiny_vocab, algo):
+        idx = build_psmi_index(tiny_vocab, 0.0)
+        match = {"smin": smin_match, "smii": smii_match,
+                 "psmi": lambda a, b, mu0: psmi_match(a, b, mu0, idx)}[algo]
+        img = ImageObject("x", np.ones(1), word_ids=[0], vocab=tiny_vocab)
         for mu0 in (1.0, -0.1, "0.5", b"0.5", False, True, np.bool_(False)):
             with pytest.raises(DomainError):
-                best_match([1.0, 0.0], [[1.0, 0.0]], mu0)
+                match(img, img, mu0)
         for mu0 in (0, 0.5, np.float32(0.5), np.float64(0.5), np.int64(0)):
-            assert best_match([1.0, 0.0], [[1.0, 0.0]], mu0) == (1.0, 0)
+            assert match(img, img, mu0).pairs == [(0, 0, 1.0)]
 
 
 def raw_image(name, vectors, weights=None):

@@ -654,11 +654,14 @@ class TestDirectScoring:
         a = vocab_image(tiny_vocab, [0, 2], name="a")
         b = vocab_image(tiny_vocab, [1, 0], name="b")
         assert psmi_similarity(a, b, 0.7, idx) > 0.0 and smii_similarity(a, b, 0.7) > 0.0
+        assert smin_similarity(a, b, 0.7) > 0.0
         assert built == []
         psmi_match(a, b, 0.7, idx)
         assert len(built) == 1
         smii_match(a, b, 0.7)
         assert len(built) == 2
+        smin_match(a, b, 0.7)
+        assert len(built) == 3
 
 
 class TestPsmiPreconditions:

@@ -28,7 +28,7 @@ def raw_image(name, vectors, weights=None):
 class TestBuildAndQuery:
     def test_singleton_index_answers_everything(self):
         idx = build_temp_index(raw_image("b", [[0.3, 0.4]]))
-        assert idx.size == 1
+        assert idx.shape == (1, 2)
         assert query_top1(idx, [1.0, 0.0])[0] == 0
         assert query_top1(idx, [0.3, 0.4]) == (0, 1.0)
 
@@ -71,9 +71,10 @@ class TestBuildAndQuery:
             query_top1(idx, [1.0, 0.0, 0.0])
 
     def test_index_is_immutable(self):
-        idx = build_temp_index(raw_image("b", [[1.0, 0.0]]))
+        idx = build_temp_index(raw_image("b", [[3.0, 4.0]]))
+        assert idx.tolist() == [[0.6, 0.8]]
         with pytest.raises(ValueError):
-            idx.unit[0, 0] = 3.0
+            idx[0, 0] = 3.0
 
 
 class TestSmiiEquivalence:
