@@ -135,15 +135,14 @@ def cmd_build_vocab(args) -> int:
 
 def cmd_quantize(args) -> int:
     raw = load_images(args.features)
-    feature_sets = np.split(raw.vectors, raw.offsets[1:-1])
-    image_ids = raw.image_ids
     if args.vocab:
         vocab = load_vocabulary(args.vocab)
-        dataset = _count_images(image_ids, [assign_words(vocab, m) for m in feature_sets], vocab)
+        dataset = _count_images(raw.image_ids, raw.offsets, assign_words(vocab, raw.vectors), vocab)
         seeded = ""
     else:
         seed = 0 if args.seed is None else args.seed
-        vocab, dataset = kmeans_quantize(feature_sets, args.k, seed, image_ids=image_ids)
+        vocab, dataset = kmeans_quantize(np.split(raw.vectors, raw.offsets[1:-1]), args.k, seed,
+                                         image_ids=raw.image_ids)
         if args.out_vocab:
             save_vocabulary(vocab, args.out_vocab)
         seeded = f", seed {seed}"

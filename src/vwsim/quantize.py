@@ -1,9 +1,9 @@
 """Weighting and codebook construction.
 
-``tfidf_weights`` turns per-word occurrence counts into weights in
-``(0, 1]``. ``kmeans_quantize`` builds a vocabulary from raw descriptor
-sets by spherical k-means (unit centroids, cosine assignment) and quantizes
-the inputs against it.
+``_count_images`` counts every image's words in one pass over flat columns;
+``tfidf_weights`` turns those counts into weights in ``(0, 1]``.
+``kmeans_quantize`` builds a vocabulary by spherical k-means (unit centroids,
+cosine assignment) and counts each input set's assigned words.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import Vocabulary, _column, normalize_weights, unit_rows
+from .core import Vocabulary, _column, unit_rows
 from .errors import DomainError
 from .io import Dataset
 
@@ -29,46 +29,43 @@ def tfidf_weights(dataset: Dataset) -> Dataset:
     Per image, a word's raw weight is ``(count / max_count) * ln(1 + N / df)``
     with ``N`` the corpus size and ``df`` the number of images containing the
     word; weights are then scaled so each image's maximum is exactly 1.
-    Repeated word ids within an image are aggregated into counts first.
+    Images are counted first (:func:`_count_images`), so each output image
+    holds its distinct word ids in ascending order, a repeated id's counts summed.
     Requires vocabulary-backed images with occurrence counts.
     """
     if dataset.vocab is None:
         raise DomainError("the dataset's images have no word ids; tf-idf needs word identity")
     if dataset.counts is None:
         raise DomainError("the dataset's images have no occurrence counts")
-    bounds = dataset.offsets.tolist()
-    aggregated = []
-    for lo, hi in zip(bounds, bounds[1:]):
-        ids, counts = dataset.word_ids[lo:hi], dataset.counts[lo:hi]
-        if np.unique(ids).size != ids.size:
-            ids, inverse = np.unique(ids, return_inverse=True)
-            counts = np.zeros(ids.size, dtype=np.int64)
-            np.add.at(counts, inverse, dataset.counts[lo:hi])
-        aggregated.append((ids, counts))
-    ids, counts = (np.concatenate(column) for column in zip(*aggregated))
-
+    counted = _count_images(dataset.image_ids, dataset.offsets, dataset.word_ids, dataset.vocab,
+                            dataset.counts)
+    ids, offsets = counted.word_ids, counted.offsets
     # idf by ``math.log`` (``np.log`` is an ulp off on some arguments), once
     # per distinct document frequency, gathered back to each occurrence.
-    _, word_of, df = np.unique(ids, return_inverse=True, return_counts=True)
-    levels, level_of = np.unique(df[word_of], return_inverse=True)
+    levels, level_of = np.unique(np.bincount(ids)[ids], return_inverse=True)
     idf = np.array([math.log(1.0 + len(dataset) / v) for v in levels.tolist()])[level_of]
-    offsets = np.cumsum([0] + [image_ids.size for image_ids, _ in aggregated])
-
-    weights = []
-    for (_, image_counts), lo, hi in zip(aggregated, offsets, offsets[1:]):
-        raw = (image_counts / image_counts.max()) * idf[lo:hi]
-        weights.append(raw / raw.max())
-    return Dataset(dataset.image_ids, offsets, np.concatenate(weights), word_ids=ids, counts=counts,
+    raw = counted.weights * idf
+    weights = raw / np.repeat(np.maximum.reduceat(raw, offsets[:-1]), np.diff(offsets))
+    return Dataset(dataset.image_ids, offsets, weights, word_ids=ids, counts=counted.counts,
                    vocab=dataset.vocab)
 
 
-def _count_images(image_ids: Sequence[str], id_sets: Sequence[np.ndarray],
-                  vocab: Vocabulary) -> Dataset:
-    """One image per word-id occurrence list: per-word counts, weights count/max."""
-    ids, counts = zip(*(np.unique(id_set, return_counts=True) for id_set in id_sets))
-    return Dataset(image_ids, np.cumsum([0] + [image_counts.size for image_counts in counts]),
-                   np.concatenate([normalize_weights(image_counts) for image_counts in counts]),
-                   word_ids=np.concatenate(ids), counts=np.concatenate(counts), vocab=vocab)
+def _count_images(image_ids: Sequence[str], offsets: np.ndarray, word_ids: np.ndarray,
+                  vocab: Vocabulary, counts: Optional[np.ndarray] = None) -> Dataset:
+    """Count every image's words in one pass over flat columns.
+
+    Image ``i`` owns ``word_ids[offsets[i]:offsets[i+1]]``; each occurrence
+    adds its entry of *counts* (1 without). One ``np.unique`` over (image,
+    word) keys yields each image's distinct ids ascending, their counts
+    summed in int64 (wrapping as int64 does), and weights count / max count.
+    """
+    image_of = np.repeat(np.arange(offsets.size - 1), np.diff(offsets))
+    keys, inverse = np.unique(image_of * vocab.size + word_ids, return_inverse=True)
+    summed = np.zeros(keys.size, dtype=np.int64)
+    np.add.at(summed, inverse, 1 if counts is None else counts)
+    starts = np.searchsorted(keys, np.arange(offsets.size) * vocab.size)
+    weights = summed / np.maximum.reduceat(summed, starts[:-1])[keys // vocab.size]
+    return Dataset(image_ids, starts, weights, word_ids=keys % vocab.size, counts=summed, vocab=vocab)
 
 
 def assign_words(vocab: Vocabulary, features: np.ndarray) -> np.ndarray:
@@ -139,10 +136,12 @@ def kmeans_quantize(feature_sets: Sequence[np.ndarray], k: int, seed: int,
     seeding path. Frequencies are total assignment counts; each output image
     carries its per-word counts (weights are count/max pending tf-idf).
     """
+    k = int(_column(k, np.int64, "k", ()))
     if k < 1:
         raise DomainError(f"need k >= 1 words, got {k}")
     mats = [_column(f, np.float64, "feature set", (None, None)) for f in feature_sets]
-    if not mats or any(m.shape[0] < 1 for m in mats):
+    lengths = [m.shape[0] for m in mats]
+    if not mats or 0 in lengths:
         raise DomainError("feature sets must be non-empty (n_i, d) arrays")
     dims = {m.shape[1] for m in mats}
     if len(dims) != 1:
@@ -169,5 +168,4 @@ def kmeans_quantize(feature_sets: Sequence[np.ndarray], k: int, seed: int,
     frequencies = np.bincount(assignment, minlength=k).astype(np.int64)
     vocab = Vocabulary(vectors=centroids, frequencies=frequencies)
 
-    id_sets = np.split(assignment, np.cumsum([m.shape[0] for m in mats])[:-1])
-    return vocab, _count_images(image_ids, id_sets, vocab)
+    return vocab, _count_images(image_ids, np.cumsum([0] + lengths), assignment, vocab)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ImageObject, Vocabulary, unit_rows
+from .core import ImageObject, Vocabulary, _column, unit_rows
 from .errors import DomainError
 from .io import Dataset
 from .quantize import _count_images, tfidf_weights
@@ -33,6 +33,8 @@ class GeneratorConfig:
     perturbation: float = 0.1
 
     def __post_init__(self):
+        for name in ("vocab_size", "dimension", "image_count", "words_per_image"):
+            object.__setattr__(self, name, int(_column(getattr(self, name), np.int64, name, ())))
         if self.vocab_size < 1 or self.dimension < 1 or self.image_count < 1 or self.words_per_image < 1:
             raise DomainError("generator counts must all be >= 1")
         if not (0.0 <= self.duplicate_fraction <= 1.0):
@@ -87,11 +89,12 @@ def generate_synthetic(config: GeneratorConfig) -> tuple[Dataset, tuple[ImageObj
     vectors = unit_rows(rng.standard_normal((k, d)))
     probs = zipf_probabilities(k, config.zipf_exponent)
 
-    # Row i takes the same uniforms that one draw per image would.
-    draws = rng.choice(k, size=(config.image_count, config.words_per_image), p=probs)
-    vocab = Vocabulary(vectors=vectors, frequencies=np.bincount(draws.ravel(), minlength=k))
-    names = [f"img{i:06d}" for i in range(config.image_count)]
-    dataset = tfidf_weights(_count_images(names, draws, vocab))
+    # Image i takes draws i*m .. i*m + m - 1: the uniforms one draw per image would.
+    n, m = config.image_count, config.words_per_image
+    draws = rng.choice(k, size=n * m, p=probs)
+    vocab = Vocabulary(vectors=vectors, frequencies=np.bincount(draws, minlength=k))
+    names = [f"img{i:06d}" for i in range(n)]
+    dataset = tfidf_weights(_count_images(names, np.arange(n + 1) * m, draws, vocab))
 
     dup_count = int(config.duplicate_fraction * config.image_count + 0.5)
     sources = rng.choice(config.image_count, size=dup_count, replace=False).tolist()

@@ -132,6 +132,49 @@ def images_per_record(path, vocab=None):
     return images
 
 
+def count_images_reference(offsets, word_ids, counts=None):
+    """Each image counted on its own: ``np.unique`` and ``np.add.at`` per image.
+
+    Returns ``(word_ids, counts, offsets, weights)`` with each image's
+    distinct ids ascending, their occurrence counts (1 each with no
+    *counts*) summed in int64, and weights count / max count.
+    """
+    ids_out, counts_out, weights_out, offsets_out = [], [], [], [0]
+    for i in range(len(offsets) - 1):
+        ids = np.asarray(word_ids[offsets[i]:offsets[i + 1]], dtype=np.int64)
+        occurrences = (np.ones(ids.size, dtype=np.int64) if counts is None
+                       else np.asarray(counts[offsets[i]:offsets[i + 1]], dtype=np.int64))
+        distinct, inverse = np.unique(ids, return_inverse=True)
+        summed = np.zeros(distinct.size, dtype=np.int64)
+        np.add.at(summed, inverse, occurrences)
+        ids_out.append(distinct)
+        counts_out.append(summed)
+        weights_out.append(summed / summed.max())
+        offsets_out.append(offsets_out[-1] + distinct.size)
+    return (np.concatenate(ids_out), np.concatenate(counts_out), np.array(offsets_out),
+            np.concatenate(weights_out))
+
+
+def tfidf_reference(offsets, word_ids, counts):
+    """Max-normalized tf-idf image by image over :func:`count_images_reference`.
+
+    ``df`` is tallied in a dict, ``idf = ln(1 + N / df)`` by ``math.log``, and
+    each image's ``(count / max_count) * idf`` is divided by its maximum.
+    """
+    ids, summed, new_offsets, tf = count_images_reference(offsets, word_ids, counts)
+    n_images = len(offsets) - 1
+    df = {}
+    for wid in ids.tolist():
+        df[wid] = df.get(wid, 0) + 1
+    weights = []
+    for i in range(n_images):
+        lo, hi = new_offsets[i], new_offsets[i + 1]
+        raw = [tf[j] * math.log(1.0 + n_images / df[int(ids[j])]) for j in range(lo, hi)]
+        top = max(raw)
+        weights.extend(r / top for r in raw)
+    return ids, summed, new_offsets, np.array(weights)
+
+
 def all_pairs_reference(vocab, mu0):
     """CSR ``(offsets, ids, sims)`` of the offline index, by the float64 full-product build.
 

@@ -3,9 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from vwsim import (ContractError, Dataset, DomainError, ImageObject, assign_words, kmeans_quantize,
-                   tfidf_weights)
-from vwsim.quantize import _spherical_kmeans
+from vwsim import (ContractError, Dataset, DomainError, ImageObject, Vocabulary, assign_words,
+                   kmeans_quantize, tfidf_weights, zipf_probabilities)
+from vwsim.core import unit_rows
+from vwsim.quantize import _count_images, _spherical_kmeans
+
+from oracles import count_images_reference, tfidf_reference
 
 
 def count_image(vocab, name, ids, counts):
@@ -65,6 +68,23 @@ class TestTfidf:
         assert merged.word_ids.tolist() == [0, 1]
         assert merged.counts.tolist() == [1, 2]
 
+    def test_an_images_id_order_does_not_matter(self, tiny_vocab):
+        # Every output image holds its distinct ids ascending, so permuting
+        # one image's ids (with their counts) leaves the whole output alone.
+        ids, counts = np.array([0, 1, 2]), np.array([3, 1, 2])
+
+        def columns(order):
+            out = tfidf_weights(Dataset.from_images((
+                count_image(tiny_vocab, "a", ids[order], counts[order]),
+                count_image(tiny_vocab, "b", [1], [1]),
+            ), vocab=tiny_vocab))
+            return out.word_ids.tolist(), out.counts.tolist(), out.offsets.tolist(), out.weights.tobytes()
+
+        ascending = columns([0, 1, 2])
+        assert ascending[:3] == ([0, 1, 2, 1], [3, 1, 2, 1], [0, 3, 4])
+        for order in ([2, 0, 1], [1, 2, 0], [2, 1, 0], [0, 2, 1]):
+            assert columns(order) == ascending
+
     def test_requires_counts(self, tiny_vocab):
         img = ImageObject(image_id="a", weights=np.array([1.0]),
                           word_ids=np.array([0]), vocab=tiny_vocab)
@@ -81,6 +101,60 @@ class TestTfidf:
         # A dataset holds at least one image, so tf-idf never sees an empty one.
         with pytest.raises(DomainError, match="a dataset needs at least one image"):
             tfidf_weights(Dataset.from_images(()))
+
+
+def _zipf_corpus(size, seed):
+    rng = np.random.RandomState(seed)
+    lengths = rng.randint(1, 41, size=60)
+    return size, np.split(rng.choice(size, size=lengths.sum(), p=zipf_probabilities(size, 1.1)),
+                          np.cumsum(lengths)[:-1]), None
+
+
+# (vocabulary size, per-image word ids, per-image occurrence counts or None)
+COUNTING_CASES = {
+    "zipf_k64": _zipf_corpus(64, 191),
+    "zipf_k1024": _zipf_corpus(1024, 193),
+    "repeated_ids": (8, [[3, 1, 3, 3], [2, 2], [5, 0, 5, 1, 0]], None),
+    "one_word_images": (8, [[5], [0], [5], [7]], None),
+    "id_in_every_image": (8, [[7, 1], [2, 7, 7], [7], [0, 7, 3]], None),
+    "loaded_counts_summed": (8, [[4, 2, 4], [4], [6, 6, 1, 6]], [[3, 5, 6], [2], [1, 4, 9, 2]]),
+}
+
+
+@pytest.mark.parametrize("case", list(COUNTING_CASES))
+class TestCountingOracle:
+    """Whole-corpus counting and tf-idf against the per-image reference, bit for bit."""
+
+    @staticmethod
+    def columns(case):
+        size, id_lists, count_lists = COUNTING_CASES[case]
+        vocab = Vocabulary(vectors=unit_rows(np.random.RandomState(size).standard_normal((size, 4))),
+                           frequencies=np.ones(size, dtype=np.int64))
+        offsets = np.cumsum([0] + [len(ids) for ids in id_lists])
+        counts = None if count_lists is None else np.concatenate(count_lists).astype(np.int64)
+        names = [f"img{i}" for i in range(len(id_lists))]
+        return vocab, names, offsets, np.concatenate(id_lists).astype(np.int64), counts
+
+    @staticmethod
+    def assert_same_bits(dataset, expected):
+        ids, counts, offsets, weights = expected
+        assert np.array_equal(dataset.word_ids, ids)
+        assert np.array_equal(dataset.counts, counts)
+        assert np.array_equal(dataset.offsets, offsets)
+        assert dataset.weights.tobytes() == weights.tobytes()
+
+    def test_count_images(self, case):
+        vocab, names, offsets, word_ids, counts = self.columns(case)
+        self.assert_same_bits(_count_images(names, offsets, word_ids, vocab, counts),
+                              count_images_reference(offsets, word_ids, counts))
+
+    def test_tfidf(self, case):
+        vocab, names, offsets, word_ids, counts = self.columns(case)
+        if counts is None:
+            counts = np.random.RandomState(197).randint(1, 6, size=word_ids.size)
+        dataset = Dataset(names, offsets, np.ones(word_ids.size), word_ids=word_ids, counts=counts,
+                          vocab=vocab)
+        self.assert_same_bits(tfidf_weights(dataset), tfidf_reference(offsets, word_ids, counts))
 
 
 class TestKmeans:

@@ -3,7 +3,8 @@ import collections
 import numpy as np
 import pytest
 
-from vwsim import DomainError, GeneratorConfig, generate_synthetic, perturb_image, zipf_probabilities
+from vwsim import (DomainError, GeneratorConfig, generate_synthetic, kmeans_quantize, perturb_image,
+                   zipf_probabilities)
 
 
 def small_config(**overrides):
@@ -23,6 +24,20 @@ class TestConfig:
     def test_rejects_invalid(self, field, value):
         with pytest.raises(DomainError):
             small_config(**{field: value})
+
+    @pytest.mark.parametrize("field, build", [
+        *(pytest.param(name, lambda name, value: small_config(**{name: value}), id=name)
+          for name in ("vocab_size", "dimension", "image_count", "words_per_image")),
+        pytest.param("k", lambda name, value: kmeans_quantize([np.eye(2)], value, seed=0), id="k"),
+    ])
+    @pytest.mark.parametrize("value", [2.5, 2.0, np.float64(3.0), True, "4"])
+    def test_integer_fields_refuse_floats_bools_and_strings(self, field, build, value):
+        with pytest.raises(DomainError, match=rf"^{field} must be integers.*; {field} is "):
+            build(field, value)
+
+    def test_integer_fields_accept_numpy_integers(self):
+        config = small_config(vocab_size=np.int64(64), image_count=np.int32(40))
+        assert type(config.vocab_size) is int and type(config.image_count) is int
 
     def test_infinite_zipf_exponent_accepted(self):
         # The limit law is well-defined: every draw is word 0.
