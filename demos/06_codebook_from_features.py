@@ -23,17 +23,19 @@ def descriptors(theme_ids, per_theme=12, noise=0.15):
     return np.vstack(rows)
 
 
-# Three images share theme 0; each has private themes of its own.
+# Three images share theme 0; each has private themes of its own. Their
+# descriptors form one raw dataset, as ``load_images`` returns a features file.
 feature_sets = [
     descriptors([0, 1, 2]),
     descriptors([0, 1, 3]),
     descriptors([0, 4, 5]),
 ]
-image_ids = ["street_day", "street_dusk", "harbor"]
+lengths = [f.shape[0] for f in feature_sets]
+raw = Dataset(["street_day", "street_dusk", "harbor"], np.cumsum([0] + lengths),
+              np.ones(sum(lengths)), vectors=np.concatenate(feature_sets))
 
-vocab, dataset = kmeans_quantize(feature_sets, k=6, seed=3, image_ids=image_ids)
-print(f"codebook: {vocab.size} words from "
-      f"{sum(f.shape[0] for f in feature_sets)} descriptors")
+vocab, dataset = kmeans_quantize(raw, k=6, seed=3)
+print(f"codebook: {vocab.size} words from {raw.vectors.shape[0]} descriptors")
 print(f"word frequencies: {vocab.frequencies.tolist()}")
 
 weighted = tfidf_weights(dataset)

@@ -16,8 +16,6 @@ import csv
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .bench import (
     ALGORITHMS,
@@ -125,8 +123,7 @@ def cmd_gen(args) -> int:
 
 def cmd_build_vocab(args) -> int:
     raw = load_images(args.features)
-    vocab, _ = kmeans_quantize(np.split(raw.vectors, raw.offsets[1:-1]), args.k, args.seed,
-                               image_ids=raw.image_ids)
+    vocab, _ = kmeans_quantize(raw, args.k, args.seed)
     save_vocabulary(vocab, args.out)
     print(f"built vocabulary of {vocab.size} words (d={vocab.dimension}) "
           f"from {len(raw)} feature sets into {args.out} (seed {args.seed})")
@@ -141,8 +138,7 @@ def cmd_quantize(args) -> int:
         seeded = ""
     else:
         seed = 0 if args.seed is None else args.seed
-        vocab, dataset = kmeans_quantize(np.split(raw.vectors, raw.offsets[1:-1]), args.k, seed,
-                                         image_ids=raw.image_ids)
+        vocab, dataset = kmeans_quantize(raw, args.k, seed)
         if args.out_vocab:
             save_vocabulary(vocab, args.out_vocab)
         seeded = f", seed {seed}"

@@ -3,7 +3,7 @@
 ``_count_images`` counts every image's words in one pass over flat columns;
 ``tfidf_weights`` turns those counts into weights in ``(0, 1]``.
 ``kmeans_quantize`` builds a vocabulary by spherical k-means (unit centroids,
-cosine assignment) and counts each input set's assigned words.
+cosine assignment) and counts each image's assigned words.
 """
 
 from __future__ import annotations
@@ -127,32 +127,23 @@ def _spherical_kmeans(points: np.ndarray, k: int, rng: np.random.RandomState):
         movement = float(np.sqrt(((centroids - previous) ** 2).sum(axis=1)).max())
 
 
-def kmeans_quantize(feature_sets: Sequence[np.ndarray], k: int, seed: int,
-                    image_ids: Optional[Sequence[str]] = None) -> tuple[Vocabulary, Dataset]:
-    """Cluster all descriptors into ``k`` words and quantize every input set.
+def kmeans_quantize(raw: Dataset, k: int, seed: int) -> tuple[Vocabulary, Dataset]:
+    """Cluster a raw dataset's descriptors into ``k`` words and quantize every image.
 
     Deterministic given the seed. Clusters are relabeled by the order of
     their first assigned descriptor, so word ids do not depend on the random
     seeding path. Frequencies are total assignment counts; each output image
-    carries its per-word counts (weights are count/max pending tf-idf).
+    keeps its id and carries its per-word counts (weights are count/max
+    pending tf-idf).
     """
     k = int(_column(k, np.int64, "k", ()))
     if k < 1:
         raise DomainError(f"need k >= 1 words, got {k}")
-    mats = [_column(f, np.float64, "feature set", (None, None)) for f in feature_sets]
-    lengths = [m.shape[0] for m in mats]
-    if not mats or 0 in lengths:
-        raise DomainError("feature sets must be non-empty (n_i, d) arrays")
-    dims = {m.shape[1] for m in mats}
-    if len(dims) != 1:
-        raise DomainError("all feature sets must share one dimension")
-    points = unit_rows(np.concatenate(mats, axis=0))
+    if raw.vocab is not None:
+        raise DomainError("the dataset's images have no inline descriptors; k-means needs raw vectors")
+    points = unit_rows(raw.vectors)
     if points.shape[0] < k:
         raise DomainError(f"need at least {k} descriptors to build {k} words, got {points.shape[0]}")
-    if image_ids is None:
-        image_ids = [f"img{i:06d}" for i in range(len(mats))]
-    elif len(image_ids) != len(mats):
-        raise DomainError("image_ids must align with feature_sets")
 
     rng = np.random.RandomState(seed)
     centroids, assignment, _ = _spherical_kmeans(points, k, rng)
@@ -168,4 +159,4 @@ def kmeans_quantize(feature_sets: Sequence[np.ndarray], k: int, seed: int,
     frequencies = np.bincount(assignment, minlength=k).astype(np.int64)
     vocab = Vocabulary(vectors=centroids, frequencies=frequencies)
 
-    return vocab, _count_images(image_ids, np.cumsum([0] + lengths), assignment, vocab)
+    return vocab, _count_images(raw.image_ids, raw.offsets, assignment, vocab)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,13 @@ from vwsim.core import unit_rows
 from vwsim.quantize import _count_images, _spherical_kmeans
 
 from oracles import count_images_reference, tfidf_reference
+
+
+def _raw(feature_sets):
+    """One raw dataset of the sets, image ``img{i}`` holding set ``i``'s rows."""
+    lengths = [len(f) for f in feature_sets]
+    return Dataset([f"img{i}" for i in range(len(lengths))], np.cumsum([0] + lengths),
+                   np.ones(sum(lengths)), vectors=np.concatenate(feature_sets))
 
 
 def count_image(vocab, name, ids, counts):
@@ -159,14 +167,14 @@ class TestCountingOracle:
 
 class TestKmeans:
     def test_two_points_two_clusters(self):
-        vocab, dataset = kmeans_quantize([np.array([[1.0, 0.0], [0.0, 1.0]])], 2, seed=0)
+        vocab, dataset = kmeans_quantize(_raw([np.array([[1.0, 0.0], [0.0, 1.0]])]), 2, seed=0)
         assert vocab.vectors.tolist() == [[1.0, 0.0], [0.0, 1.0]]
         assert vocab.frequencies.tolist() == [1, 1]
         assert dataset.images[0].word_ids.tolist() == [0, 1]
 
     def test_duplicate_point_frequencies(self):
         vocab, dataset = kmeans_quantize(
-            [np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])], 2, seed=5)
+            _raw([np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])]), 2, seed=5)
         assert vocab.vectors.tolist() == [[1.0, 0.0], [0.0, 1.0]]
         assert vocab.frequencies.tolist() == [2, 1]
         img = dataset.images[0]
@@ -177,8 +185,8 @@ class TestKmeans:
     def test_same_seed_same_vocabulary(self):
         rng = np.random.RandomState(167)
         feats = [rng.standard_normal((30, 6)) for _ in range(4)]
-        va, _ = kmeans_quantize(feats, 8, seed=42)
-        vb, _ = kmeans_quantize(feats, 8, seed=42)
+        va, _ = kmeans_quantize(_raw(feats), 8, seed=42)
+        vb, _ = kmeans_quantize(_raw(feats), 8, seed=42)
         assert np.array_equal(va.vectors, vb.vectors)
         assert np.array_equal(va.frequencies, vb.frequencies)
 
@@ -191,18 +199,18 @@ class TestKmeans:
 
     def test_fewer_points_than_clusters(self):
         with pytest.raises(DomainError):
-            kmeans_quantize([np.array([[1.0, 0.0]])], 2, seed=0)
+            kmeans_quantize(_raw([np.array([[1.0, 0.0]])]), 2, seed=0)
 
     @pytest.mark.parametrize("k", [0, -2])
     def test_nonpositive_k(self, k):
         with pytest.raises(DomainError):
-            kmeans_quantize([np.array([[1.0, 0.0], [0.0, 1.0]])], k, seed=0)
+            kmeans_quantize(_raw([np.array([[1.0, 0.0], [0.0, 1.0]])]), k, seed=0)
 
     def test_frequencies_sum_to_point_count(self):
         rng = np.random.RandomState(179)
         feats = [rng.standard_normal((rng.randint(5, 20), 4)) for _ in range(5)]
         total = sum(f.shape[0] for f in feats)
-        vocab, dataset = kmeans_quantize(feats, 6, seed=9)
+        vocab, dataset = kmeans_quantize(_raw(feats), 6, seed=9)
         assert int(vocab.frequencies.sum()) == total
         assert sum(int(img.counts.sum()) for img in dataset.images) == total
 
@@ -219,11 +227,39 @@ class TestKmeans:
         _, _, history = _spherical_kmeans(unit_rows(np.concatenate(feats)), 12,
                                           np.random.RandomState(3))
         assert len(history) == 14
-        vocab, dataset = kmeans_quantize(feats, 12, seed=3)
+        vocab, dataset = kmeans_quantize(_raw(feats), 12, seed=3)
         digest = hashlib.sha256(vocab.vectors.tobytes() + vocab.frequencies.tobytes())
         for img in dataset.images:
             digest.update(img.word_ids.tobytes() + img.counts.tobytes())
         assert digest.hexdigest() == "6accef5f48058870881d9ad72234a67378d3fe435ee7fe3a4b3874080bde3fc6"
+
+    def test_intake_copies_the_descriptor_matrix_once(self):
+        # The loaded column is clustered as it is: only its unit rows are a
+        # second matrix, so the traced peak stays below two of it.
+        rng = np.random.RandomState(199)
+        centers = rng.standard_normal((4, 32))
+        points = centers[rng.randint(0, 4, 50_000)] + 0.3 * rng.standard_normal((50_000, 32))
+        raw = _raw(np.split(points, 100))
+        tracemalloc.start()
+        try:
+            kmeans_quantize(raw, 4, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * raw.vectors.nbytes
+
+    def test_refuses_a_vocabulary_backed_dataset(self, tiny_vocab):
+        words = Dataset(("a",), [0, 2], np.ones(2), word_ids=[0, 2], vocab=tiny_vocab)
+        with pytest.raises(DomainError, match="the dataset's images have no inline descriptors"):
+            kmeans_quantize(words, 2, seed=0)
+
+    def test_images_keep_their_ids_and_descriptor_counts(self):
+        rng = np.random.RandomState(211)
+        raw = Dataset(("harbor", "street_day", "alley"), [0, 7, 8, 20], np.ones(20),
+                      vectors=rng.standard_normal((20, 3)))
+        _, dataset = kmeans_quantize(raw, 5, seed=1)
+        assert dataset.image_ids == raw.image_ids
+        assert [int(img.counts.sum()) for img in dataset.images] == np.diff(raw.offsets).tolist()
 
 
 class TestAssign:
@@ -237,16 +273,21 @@ class TestAssign:
 
 
 class TestFeatureSetIntake:
-    @pytest.mark.parametrize("call", [
-        lambda features, vocab: kmeans_quantize([features], 1, seed=0),
-        lambda features, vocab: assign_words(vocab, features),
-    ], ids=["kmeans_quantize", "assign_words"])
     @pytest.mark.parametrize("features, error, message", [
         ([["1.0", "0"], ["0", "1"]], DomainError, r"feature set\[0, 0\] is '1.0'"),
         ([[True, False], [False, True]], DomainError, r"feature set\[0, 0\] is True"),
         ([1.0, 0.0], ContractError, r"feature set must have shape \(any, any\), got \(2,\)"),
     ])
-    def test_refuses_strings_bools_and_a_rank_one_set(self, tiny_vocab, call, features, error,
-                                                     message):
+    def test_refuses_strings_bools_and_a_rank_one_set(self, tiny_vocab, features, error, message):
         with pytest.raises(error, match=message):
-            call(features, tiny_vocab)
+            assign_words(tiny_vocab, features)
+
+    @pytest.mark.parametrize("features, error, message", [
+        ([["1.0", "0"], ["0", "1"]], DomainError, r"image vectors\[0, 0\] is '1.0'"),
+        ([[True, False], [False, True]], DomainError, r"image vectors\[0, 0\] is True"),
+        ([1.0, 0.0], ContractError, r"image vectors must have shape \(2, any\), got \(2,\)"),
+    ])
+    def test_kmeans_input_is_refused_by_the_dataset(self, features, error, message):
+        # kmeans_quantize takes a Dataset, whose constructor checks the descriptors.
+        with pytest.raises(error, match=message):
+            kmeans_quantize(Dataset(("a",), [0, 2], np.ones(2), vectors=features), 1, seed=0)

@@ -3,8 +3,8 @@ import collections
 import numpy as np
 import pytest
 
-from vwsim import (DomainError, GeneratorConfig, generate_synthetic, kmeans_quantize, perturb_image,
-                   zipf_probabilities)
+from vwsim import (Dataset, DomainError, GeneratorConfig, generate_synthetic, kmeans_quantize,
+                   perturb_image, zipf_probabilities)
 
 
 def small_config(**overrides):
@@ -28,7 +28,8 @@ class TestConfig:
     @pytest.mark.parametrize("field, build", [
         *(pytest.param(name, lambda name, value: small_config(**{name: value}), id=name)
           for name in ("vocab_size", "dimension", "image_count", "words_per_image")),
-        pytest.param("k", lambda name, value: kmeans_quantize([np.eye(2)], value, seed=0), id="k"),
+        pytest.param("k", lambda name, value: kmeans_quantize(
+            Dataset(("a",), [0, 2], np.ones(2), vectors=np.eye(2)), value, seed=0), id="k"),
     ])
     @pytest.mark.parametrize("value", [2.5, 2.0, np.float64(3.0), True, "4"])
     def test_integer_fields_refuse_floats_bools_and_strings(self, field, build, value):
