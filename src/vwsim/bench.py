@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .baseline import mean_vector_similarity
-from .core import ImageObject, Vocabulary, check_threshold, unit_rows
+from .core import ImageObject, Vocabulary, _config_fields, check_threshold, unit_rows
 from .errors import DomainError
 from .io import Dataset, load_images, load_truth, load_vocabulary
 from .matching import smin_similarity
@@ -66,6 +66,8 @@ class BenchConfig:
     repetitions: int = 3
 
     def __post_init__(self):
+        _config_fields(self, np.int64, (), "pair_count", "dimension", "vocab_size", "repetitions", "seed")
+        _config_fields(self, np.int64, (None,), "m_values", "n_values")
         unknown = set(self.algorithms) - set(ALGORITHMS)
         if unknown:
             raise DomainError(f"unknown algorithms: {sorted(unknown)}")
@@ -97,6 +99,8 @@ class HitRateConfig:
     algorithm: str = "psmi"
 
     def __post_init__(self):
+        _config_fields(self, np.int64, (), "query_count", "top_k", "seed")
+        _config_fields(self, np.float64, (None,), "rho_grid")
         if self.top_k < 1:
             raise DomainError("top_k must be >= 1")
         if self.query_count < 1:

@@ -30,7 +30,7 @@ from .bench import (
 from .errors import ContractError, PreconditionError, VwsimError
 from .io import Dataset, load_images, load_psmi, load_vocabulary, save_images, save_psmi, save_truth, save_vocabulary
 from .psmi import build_psmi_index, weighted_code_length
-from .quantize import _count_images, assign_words, kmeans_quantize, tfidf_weights
+from .quantize import assign_words, kmeans_quantize, tfidf_weights
 from .synth import GeneratorConfig, generate_synthetic
 
 
@@ -126,7 +126,7 @@ def cmd_build_vocab(args) -> int:
     vocab, _ = kmeans_quantize(raw, args.k, args.seed)
     save_vocabulary(vocab, args.out)
     print(f"built vocabulary of {vocab.size} words (d={vocab.dimension}) "
-          f"from {len(raw)} feature sets into {args.out} (seed {args.seed})")
+          f"from {len(raw)} images into {args.out} (seed {args.seed})")
     return 0
 
 
@@ -134,7 +134,7 @@ def cmd_quantize(args) -> int:
     raw = load_images(args.features)
     if args.vocab:
         vocab = load_vocabulary(args.vocab)
-        dataset = _count_images(raw.image_ids, raw.offsets, assign_words(vocab, raw.vectors), vocab)
+        dataset = assign_words(vocab, raw)
         seeded = ""
     else:
         seed = 0 if args.seed is None else args.seed

@@ -98,6 +98,17 @@ def _column(values, dtype, what: str, shape: tuple) -> np.ndarray:
     raise ContractError(f"{what} must have shape {shape}, got {column.shape}".replace("None", "any"))
 
 
+def _config_fields(config, dtype, shape: tuple, *names: str) -> None:
+    """Pass each named field of a frozen *config* through :func:`_column`.
+
+    A field is kept as Python values: a scalar for ``shape=()``, otherwise a
+    tuple. A refused value raises the :class:`DomainError` naming the field.
+    """
+    for name in names:
+        value = _column(getattr(config, name), dtype, name, shape).tolist()
+        object.__setattr__(config, name, tuple(value) if shape else value)
+
+
 def _word_id(value) -> int:
     """A scalar word id, under the integer rule of :func:`_column`."""
     return int(_column(value, np.int64, "word id", ()))

@@ -1,9 +1,11 @@
 """Weighting and codebook construction.
 
 ``_count_images`` counts every image's words in one pass over flat columns;
-``tfidf_weights`` turns those counts into weights in ``(0, 1]``.
-``kmeans_quantize`` builds a vocabulary by spherical k-means (unit centroids,
-cosine assignment) and counts each image's assigned words.
+``tfidf_weights`` turns those counts into weights in ``(0, 1]``. Both
+quantizers take a raw :class:`~vwsim.io.Dataset`, whose constructor has
+checked its descriptors, and return its images counted over their words:
+``assign_words`` against a given vocabulary, ``kmeans_quantize`` against
+one it builds by spherical k-means (unit centroids, cosine assignment).
 """
 
 from __future__ import annotations
@@ -68,15 +70,26 @@ def _count_images(image_ids: Sequence[str], offsets: np.ndarray, word_ids: np.nd
     return Dataset(image_ids, starts, weights, word_ids=keys % vocab.size, counts=summed, vocab=vocab)
 
 
-def assign_words(vocab: Vocabulary, features: np.ndarray) -> np.ndarray:
-    """Nearest vocabulary word (by cosine) per descriptor row; ties take the
-    smallest word id."""
-    points = unit_rows(_column(features, np.float64, "feature set", (None, None)))
+def _descriptors(raw: Dataset, need: str) -> np.ndarray:
+    """The unit rows of a raw dataset's descriptors, as its constructor checked them."""
+    if raw.vocab is not None:
+        raise DomainError(f"the dataset's images have no inline descriptors; {need} needs raw vectors")
+    return unit_rows(raw.vectors)
+
+
+def assign_words(vocab: Vocabulary, raw: Dataset) -> Dataset:
+    """Quantize every image of a raw dataset against *vocab*.
+
+    Each descriptor becomes its nearest word by cosine, ties to the smallest
+    word id; each output image keeps its id and carries its per-word counts
+    (weights count/max pending tf-idf), as :func:`kmeans_quantize` returns.
+    """
+    points = _descriptors(raw, "word assignment")
     if points.shape[1] != vocab.dimension:
         raise DomainError(
             f"descriptor dimension {points.shape[1]} != vocabulary dimension {vocab.dimension}")
-    scores = points @ vocab.unit_matrix.T
-    return np.argmax(scores, axis=1).astype(np.int64)
+    assignment = np.argmax(points @ vocab.unit_matrix.T, axis=1)
+    return _count_images(raw.image_ids, raw.offsets, assignment, vocab)
 
 
 def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.RandomState) -> np.ndarray:
@@ -139,9 +152,7 @@ def kmeans_quantize(raw: Dataset, k: int, seed: int) -> tuple[Vocabulary, Datase
     k = int(_column(k, np.int64, "k", ()))
     if k < 1:
         raise DomainError(f"need k >= 1 words, got {k}")
-    if raw.vocab is not None:
-        raise DomainError("the dataset's images have no inline descriptors; k-means needs raw vectors")
-    points = unit_rows(raw.vectors)
+    points = _descriptors(raw, "k-means")
     if points.shape[0] < k:
         raise DomainError(f"need at least {k} descriptors to build {k} words, got {points.shape[0]}")
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ImageObject, Vocabulary, _column, unit_rows
+from .core import ImageObject, Vocabulary, _config_fields, unit_rows
 from .errors import DomainError
 from .io import Dataset
 from .quantize import _count_images, tfidf_weights
@@ -33,8 +33,9 @@ class GeneratorConfig:
     perturbation: float = 0.1
 
     def __post_init__(self):
-        for name in ("vocab_size", "dimension", "image_count", "words_per_image"):
-            object.__setattr__(self, name, int(_column(getattr(self, name), np.int64, name, ())))
+        _config_fields(self, np.int64, (), "seed", "vocab_size", "dimension", "image_count",
+                       "words_per_image")
+        _config_fields(self, np.float64, (), "zipf_exponent", "duplicate_fraction", "perturbation")
         if self.vocab_size < 1 or self.dimension < 1 or self.image_count < 1 or self.words_per_image < 1:
             raise DomainError("generator counts must all be >= 1")
         if not (0.0 <= self.duplicate_fraction <= 1.0):

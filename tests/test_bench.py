@@ -53,6 +53,43 @@ class TestBenchConfig:
         with pytest.raises(DomainError):
             tiny_bench(m_values=())
 
+    @pytest.mark.parametrize("value", [2.5, True, "4"])
+    @pytest.mark.parametrize("field", ["pair_count", "dimension", "vocab_size", "repetitions",
+                                       "seed", "m_values", "n_values"])
+    def test_integer_fields_refuse_floats_bools_and_strings(self, field, value):
+        if field.endswith("_values"):
+            value = (3, value)
+        with pytest.raises(DomainError, match=rf"^{field} must be integers.*; {field}(\[1\])? is "):
+            tiny_bench(**{field: value})
+
+    def test_fields_keep_python_values(self):
+        cfg = tiny_bench(pair_count=np.int32(2), m_values=np.array([3, 5]), seed=np.int64(5))
+        assert type(cfg.pair_count) is int and type(cfg.seed) is int
+        assert cfg.m_values == (3, 5) and type(cfg.m_values[0]) is int
+
+
+class TestHitRateConfig:
+    @pytest.mark.parametrize("field, value, kind", [
+        *((name, value, "integers") for name in ("query_count", "top_k", "seed")
+          for value in (1.5, True, "4")),
+        ("rho_grid", (0.0, "0.1"), "numbers"),
+        ("rho_grid", (0.0, True), "numbers"),
+    ])
+    def test_refuses_floats_bools_and_strings(self, tmp_path, field, value, kind):
+        fields = dict(data_dir=str(tmp_path), query_count=2, rho_grid=(0.0,))
+        fields[field] = value
+        with pytest.raises(DomainError, match=rf"^{field} must be {kind}.*; {field}(\[1\])? is "):
+            HitRateConfig(**fields)
+
+    def test_range_messages_stay(self, tmp_path):
+        for field, value, message in [("top_k", 0, "top_k must be >= 1"),
+                                      ("query_count", 0, "query_count must be >= 1"),
+                                      ("rho_grid", (1.5,), r"rho values must lie in \[0, 1\]")]:
+            fields = dict(data_dir=str(tmp_path), query_count=2, rho_grid=(0.0,))
+            fields[field] = value
+            with pytest.raises(DomainError, match=message):
+                HitRateConfig(**fields)
+
 
 class TestRunBench:
     def test_smoke_emits_one_row_per_algorithm(self):

@@ -236,6 +236,17 @@ class TestQuantizeCommands:
         for img in dataset.images:
             assert img.word_ids is not None
 
+    def test_quantize_against_a_vocabulary_of_another_dimension(self, features, tmp_path, capsys,
+                                                                tiny_vocab):
+        from vwsim import save_vocabulary
+        vocab_path = tmp_path / "vocab2.jsonl"
+        save_vocabulary(tiny_vocab, vocab_path)
+        out = tmp_path / "quantized.jsonl"
+        code, msg, err = run_cli(capsys, "quantize", "--features", str(features),
+                                 "--vocab", str(vocab_path), "--out", str(out))
+        assert code == 1 and msg == "" and not out.exists()
+        assert err == "error: descriptor dimension 4 != vocabulary dimension 2\n"
+
     def test_quantize_needs_vocab_or_k(self, features, tmp_path):
         with pytest.raises(SystemExit) as info:
             main(["quantize", "--features", str(features), "--out", str(tmp_path / "x.jsonl")])

@@ -199,14 +199,14 @@ class TestSharedNormalizationPath:
         assert np.array_equal(unit_rows(mat), mat / norms[:, None])
 
     def test_rows_must_form_a_matrix(self, tiny_vocab):
-        from vwsim import assign_words
+        from vwsim import Dataset, assign_words
         from vwsim.core import unit_rows
 
         for bad in ([1.0, 0.0, 0.0], np.ones((2, 2, 3)), 1.0):
             with pytest.raises(ContractError, match="2-D matrix of rows"):
                 unit_rows(bad)
-        with pytest.raises(ContractError, match="feature set must have shape"):
-            assign_words(tiny_vocab, [1.0, 0.0])
+        with pytest.raises(ContractError, match="image vectors must have shape"):
+            assign_words(tiny_vocab, Dataset(("a",), [0, 2], np.ones(2), vectors=[1.0, 0.0]))
 
     def test_vocabulary_unit_matrix_matches_single_vector_path(self):
         from vwsim.core import unit_vector

@@ -7,7 +7,8 @@ themselves, repeated rows, and near-identical rows whose cosine falls in
 the identity band. Images have one to four words. Thresholds include the
 similarities the index stores, where the strict ``> mu0`` rule decides.
 Each matched pair is also scored as raw twins, the same words as inline
-vectors. Examples are derandomized and few, so the run is fixed and short.
+vectors. Index files are also mutated a byte or a record at a time. Examples
+are derandomized and few, so the run is fixed and short.
 """
 
 import itertools
@@ -22,6 +23,7 @@ from hypothesis import strategies as st
 from vwsim import (
     Corpus,
     Dataset,
+    FormatError,
     ImageObject,
     PreconditionError,
     VisualWord,
@@ -153,3 +155,44 @@ def test_index_file_round_trip_is_byte_exact(case):
         save_psmi(index, first)
         save_psmi(load_psmi(first), second)
         assert second.read_bytes() == first.read_bytes()
+
+
+RECORD = 12  # bytes in a word header and in a list entry alike
+PREFIX = 32  # bytes before the first record
+
+
+@st.composite
+def mutations(draw, data: bytes):
+    """*data* with one byte changed, or one 12-byte record deleted,
+    duplicated in place, or swapped with another."""
+    kind = draw(st.sampled_from(["byte", "delete", "duplicate", "swap"]))
+    if kind == "byte":
+        at = draw(st.integers(0, len(data) - 1))
+        return data[:at] + bytes([data[at] ^ draw(st.integers(1, 255))]) + data[at + 1:]
+    records = [data[i:i + RECORD] for i in range(PREFIX, len(data), RECORD)]
+    at = draw(st.integers(0, len(records) - 1))
+    if kind == "delete":
+        del records[at]
+    elif kind == "duplicate":
+        records.insert(at, records[at])
+    else:
+        other = draw(st.integers(0, len(records) - 2))
+        other += other >= at
+        records[at], records[other] = records[other], records[at]
+    return data[:PREFIX] + b"".join(records)
+
+
+@PROPERTY
+@given(cases(corpus_size=0), st.data())
+def test_a_mutated_index_file_is_refused_or_resaves_to_its_bytes(case, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        original, mutated, again = Path(tmp, "a.psmi"), Path(tmp, "b.psmi"), Path(tmp, "c.psmi")
+        save_psmi(case[0], original)
+        assert (len(original.read_bytes()) - PREFIX) % RECORD == 0
+        mutated.write_bytes(data.draw(mutations(original.read_bytes())))
+        try:
+            index = load_psmi(mutated)
+        except FormatError:
+            return
+        save_psmi(index, again)
+        assert again.read_bytes() == mutated.read_bytes()

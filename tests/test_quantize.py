@@ -264,30 +264,84 @@ class TestKmeans:
 
 class TestAssign:
     def test_assigns_nearest_word(self, tiny_vocab):
-        ids = assign_words(tiny_vocab, np.array([[0.9, 0.1], [0.1, 2.0], [0.75, 0.65]]))
-        assert ids.tolist() == [0, 2, 1]
+        raw = _raw([np.array([[0.9, 0.1], [0.1, 2.0]]), np.array([[0.75, 0.65]])])
+        dataset = assign_words(tiny_vocab, raw)
+        assert dataset.image_ids == ("img0", "img1")
+        assert dataset.word_ids.tolist() == [0, 2, 1]
+        assert dataset.counts.tolist() == [1, 1, 1]
+        assert dataset.offsets.tolist() == [0, 2, 3]
 
     def test_dimension_mismatch(self, tiny_vocab):
-        with pytest.raises(DomainError):
-            assign_words(tiny_vocab, np.array([[1.0, 0.0, 0.0]]))
+        with pytest.raises(DomainError, match=r"^descriptor dimension 3 != vocabulary dimension 2$"):
+            assign_words(tiny_vocab, _raw([np.array([[1.0, 0.0, 0.0]])]))
+
+    @pytest.mark.parametrize("rows, descriptor, word", [
+        pytest.param([[1.0, 0.0], [0.0, 1.0]], [1.0, 1.0], 0, id="words_at_equal_cosine"),
+        pytest.param([[0.0, 1.0], [0.6, 0.8], [0.6, 0.8]], [3.0, 4.0], 1, id="identical_words"),
+    ])
+    def test_exact_tie_takes_the_smallest_id(self, rows, descriptor, word):
+        vocab = Vocabulary(vectors=np.array(rows), frequencies=np.ones(len(rows), dtype=np.int64))
+        scores = unit_rows(np.array([descriptor])) @ vocab.unit_matrix.T
+        assert scores[0, word] == scores[0].max() == scores[0, word + 1]
+        dataset = assign_words(vocab, _raw([np.array([descriptor])]))
+        assert dataset.word_ids.tolist() == [word] and dataset.counts.tolist() == [1]
+
+    @pytest.mark.parametrize("seed", [227, 229, 233])
+    def test_matches_the_per_image_count_of_brute_force_nearest_ids(self, seed):
+        rng = np.random.RandomState(seed)
+        vocab = Vocabulary(vectors=unit_rows(rng.standard_normal((12, 5))),
+                           frequencies=np.ones(12, dtype=np.int64))
+        raw = _raw([rng.standard_normal((rng.randint(1, 30), 5)) for _ in range(9)])
+        nearest = []
+        for row in unit_rows(raw.vectors):
+            scores = [float(row @ word) for word in vocab.unit_matrix]
+            nearest.append(scores.index(max(scores)))
+        TestCountingOracle.assert_same_bits(
+            assign_words(vocab, raw), count_images_reference(raw.offsets, np.array(nearest)))
+
+    def test_equals_the_counts_kmeans_returns_for_its_own_vocabulary(self):
+        rng = np.random.RandomState(239)
+        raw = _raw([rng.standard_normal((rng.randint(3, 15), 4)) for _ in range(7)])
+        vocab, counted = kmeans_quantize(raw, 5, seed=2)
+        TestCountingOracle.assert_same_bits(
+            assign_words(vocab, raw), (counted.word_ids, counted.counts, counted.offsets, counted.weights))
+
+    def test_intake_copies_the_descriptor_matrix_once(self):
+        # The loaded column is assigned as it is: only its unit rows are a
+        # second matrix, so the traced peak stays well below two of it.
+        rng = np.random.RandomState(241)
+        vocab = Vocabulary(vectors=unit_rows(rng.standard_normal((4, 32))),
+                           frequencies=np.ones(4, dtype=np.int64))
+        raw = _raw(np.split(rng.standard_normal((50_000, 32)), 100))
+        tracemalloc.start()
+        try:
+            assign_words(vocab, raw)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * raw.vectors.nbytes
+
+    def test_refuses_a_vocabulary_backed_dataset(self, tiny_vocab):
+        words = Dataset(("a",), [0, 2], np.ones(2), word_ids=[0, 2], vocab=tiny_vocab)
+        with pytest.raises(DomainError, match="the dataset's images have no inline descriptors"):
+            assign_words(tiny_vocab, words)
+
+
+# Both quantizers take a Dataset, whose constructor is the one check of the descriptors.
+REFUSED_DESCRIPTORS = [
+    ([["1.0", "0"], ["0", "1"]], DomainError, r"image vectors\[0, 0\] is '1.0'"),
+    ([[True, False], [False, True]], DomainError, r"image vectors\[0, 0\] is True"),
+    ([1.0, 0.0], ContractError, r"image vectors must have shape \(2, any\), got \(2,\)"),
+]
 
 
 class TestFeatureSetIntake:
-    @pytest.mark.parametrize("features, error, message", [
-        ([["1.0", "0"], ["0", "1"]], DomainError, r"feature set\[0, 0\] is '1.0'"),
-        ([[True, False], [False, True]], DomainError, r"feature set\[0, 0\] is True"),
-        ([1.0, 0.0], ContractError, r"feature set must have shape \(any, any\), got \(2,\)"),
-    ])
+    @pytest.mark.parametrize("features, error, message", REFUSED_DESCRIPTORS)
     def test_refuses_strings_bools_and_a_rank_one_set(self, tiny_vocab, features, error, message):
         with pytest.raises(error, match=message):
-            assign_words(tiny_vocab, features)
+            assign_words(tiny_vocab, Dataset(("a",), [0, 2], np.ones(2), vectors=features))
 
-    @pytest.mark.parametrize("features, error, message", [
-        ([["1.0", "0"], ["0", "1"]], DomainError, r"image vectors\[0, 0\] is '1.0'"),
-        ([[True, False], [False, True]], DomainError, r"image vectors\[0, 0\] is True"),
-        ([1.0, 0.0], ContractError, r"image vectors must have shape \(2, any\), got \(2,\)"),
-    ])
+    @pytest.mark.parametrize("features, error, message", REFUSED_DESCRIPTORS)
     def test_kmeans_input_is_refused_by_the_dataset(self, features, error, message):
-        # kmeans_quantize takes a Dataset, whose constructor checks the descriptors.
         with pytest.raises(error, match=message):
             kmeans_quantize(Dataset(("a",), [0, 2], np.ones(2), vectors=features), 1, seed=0)

@@ -27,7 +27,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("field, build", [
         *(pytest.param(name, lambda name, value: small_config(**{name: value}), id=name)
-          for name in ("vocab_size", "dimension", "image_count", "words_per_image")),
+          for name in ("seed", "vocab_size", "dimension", "image_count", "words_per_image")),
         pytest.param("k", lambda name, value: kmeans_quantize(
             Dataset(("a",), [0, 2], np.ones(2), vectors=np.eye(2)), value, seed=0), id="k"),
     ])
@@ -35,6 +35,12 @@ class TestConfig:
     def test_integer_fields_refuse_floats_bools_and_strings(self, field, build, value):
         with pytest.raises(DomainError, match=rf"^{field} must be integers.*; {field} is "):
             build(field, value)
+
+    @pytest.mark.parametrize("value", [True, np.bool_(False), "0.5"])
+    @pytest.mark.parametrize("field", ["zipf_exponent", "duplicate_fraction", "perturbation"])
+    def test_float_fields_refuse_bools_and_strings(self, field, value):
+        with pytest.raises(DomainError, match=rf"^{field} must be numbers.*; {field} is "):
+            small_config(**{field: value})
 
     def test_integer_fields_accept_numpy_integers(self):
         config = small_config(vocab_size=np.int64(64), image_count=np.int32(40))
