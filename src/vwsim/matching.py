@@ -66,6 +66,8 @@ def _pair_scores(u_a: np.ndarray, u_b: np.ndarray) -> np.ndarray:
 
     A vector-by-vector ``matmul`` runs ``np.dot``'s routine, so scores match
     the scalar kernel bit for bit; rows are compared only for in-band pairs.
+    smii rescores the cells its GEMM cut keeps through it, and the offline
+    build its float32 candidates.
     """
     s = (u_a[..., None, :] @ u_b[..., :, None])[..., 0, 0]
     s[s <= 0.0] = 0.0

@@ -23,6 +23,7 @@ __all__ = ["tfidf_weights", "assign_words", "kmeans_quantize"]
 
 _MAX_ITER = 100  # Lloyd rounds at most,
 _TOL = 1e-6  # or until no centroid moves this far
+_ASSIGN_ROWS = 4096  # descriptors scored against the vocabulary per block
 
 
 def tfidf_weights(dataset: Dataset) -> Dataset:
@@ -83,12 +84,23 @@ def assign_words(vocab: Vocabulary, raw: Dataset) -> Dataset:
     Each descriptor becomes its nearest word by cosine, ties to the smallest
     word id; each output image keeps its id and carries its per-word counts
     (weights count/max pending tf-idf), as :func:`kmeans_quantize` returns.
+    Descriptors are scored in blocks of ``_ASSIGN_ROWS`` rows, so the scores
+    held at once grow with the vocabulary, not with the descriptor count.
     """
     points = _descriptors(raw, "word assignment")
     if points.shape[1] != vocab.dimension:
         raise DomainError(
             f"descriptor dimension {points.shape[1]} != vocabulary dimension {vocab.dimension}")
-    assignment = np.argmax(points @ vocab.unit_matrix.T, axis=1)
+    # Every block has _ASSIGN_ROWS rows (all of them, if fewer): the last one
+    # overlaps its neighbour rather than run short, so BLAS runs one kernel on
+    # every block. A short tail could take another (one row is a matrix-vector
+    # product) and round its scores apart from the full product's.
+    words = vocab.unit_matrix.T
+    count = points.shape[0]
+    assignment = np.empty(count, dtype=np.int64)
+    for lo in range(0, count, _ASSIGN_ROWS):
+        lo = max(min(lo, count - _ASSIGN_ROWS), 0)
+        assignment[lo:lo + _ASSIGN_ROWS] = np.argmax(points[lo:lo + _ASSIGN_ROWS] @ words, axis=1)
     return _count_images(raw.image_ids, raw.offsets, assignment, vocab)
 
 

@@ -2,10 +2,13 @@
 
 Instead of scanning all of B once per query word, build an exact top-1
 cosine index over B a single time per match call, then answer every query
-word of A with one kernel call over the whole (m, n) grid. The index is
-B's unit rows, read-only. The grid is scored with the array form of the
-kernel the naive matcher uses, and each row takes its first maximum, so
-results are bit-identical to :func:`vwsim.matching.smin_match`.
+word of A from one matrix product. The index is B's unit rows, read-only.
+One GEMM scores the whole (m, n) grid in whatever order the BLAS sums; a
+proven margin below each row's maximum cuts the grid to the few cells that
+can hold the row's best partner; the array form of the kernel the naive
+matcher uses rescores those cells exactly, and each row takes its first
+maximum. So results are bit-identical to :func:`vwsim.matching.smin_match`
+(the margin's proof is in :func:`_top1`).
 
 The index is intentionally rebuilt on every match call: it belongs to one
 target image and is never reused across calls (reuse across the whole
@@ -29,7 +32,7 @@ from .core import (
     unit_rows,
 )
 from .errors import ContractError
-from .matching import _pair_scores
+from .matching import _IDENTITY_BAND, _pair_scores
 
 __all__ = ["build_temp_index", "query_top1", "smii_match", "smii_similarity"]
 
@@ -42,14 +45,60 @@ def build_temp_index(b: ImageObject) -> np.ndarray:
 def _top1(unit: np.ndarray, raw_q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Best indexed row and its clamped cosine for each ``(q, d)`` query row.
 
-    One kernel call scores the whole (q, n) grid; ``argmax`` keeps the first
-    maximum, so ties go to the smallest indexed row. No threshold is applied.
+    Partners and score bits equal those of scoring the whole (q, n) grid
+    with the kernel and taking each row's first maximum, so ties go to the
+    smallest indexed row. No threshold is applied.
+
+    One GEMM ``g = u_q @ unit.T`` scores the grid in any summation order.
+    Row ``i`` keeps the columns with ``g >= min(G_i, 1 - band) - margin``:
+    ``G_i`` is the row's GEMM maximum, ``band`` the kernel's identity band,
+    and ``margin = 6 * d * 2**-53 * N``, where ``N >= 1`` bounds the squared
+    norm of every query and indexed row as computed. ``unit_rows`` leaves a
+    row a few ulp off unit length, so ``N`` is about 1; the scale also
+    covers a row normalized from a subnormal squared norm, which can land
+    far off. The kept cells are rescored with the kernel,
+    ``_pair_scores(unit[cols], u_q[rows])`` (B row first, as in smin's
+    ``_pair_score(unit_b[j], u_q)``), and scattered into a grid of zeros;
+    each row takes its first maximum.
+
+    The cut keeps every winner. A float64 dot product of ``u, v`` in any
+    order is within ``γ_d |u| |v| + d * 2**-1074`` of the exact one, where
+    ``γ_d = d * 2**-53 / (1 - d * 2**-53)`` (Higham 2002, §3.1; the second
+    term is underflow), and ``|u| |v| <= N``. So a GEMM cell and the
+    kernel's ``np.dot`` ``s`` of the same pair differ by at most ``2 γ_d N``
+    plus underflow. Let ``K`` be the row's best kernel value.
+
+    * ``0 < K < 1``: no cell was clamped to 1 or lifted by the identity
+      rule, so every cell has ``s <= K`` and every winner has ``s = K``;
+      its GEMM cell is within ``4 γ_d N`` of ``G_i``.
+    * ``K == 1``: each winner was clamped (``s >= 1``) or lifted (``s > 1 -
+      band``), so its GEMM cell exceeds ``1 - band - 2 γ_d N``. That is why
+      a row whose maximum lies within the band of 1 cuts at ``1 - band -
+      margin``: its margin widens by up to the band.
+
+    ``margin`` exceeds ``4 γ_d N`` by about ``2 d * 2**-53 * N``, which
+    covers underflow and the rounding of the norms and of the cut.
+
+    The zero fill is exact. A cut cell is no winner, so its kernel value
+    lies strictly below ``K``: when ``K > 0`` the filled row's first maximum
+    is the first winner. When ``K == 0`` every cosine in the row clamps to
+    0, the filled row is all zeros, and its first maximum is column 0, as
+    the full grid's is.
     """
     if raw_q.shape[1] != unit.shape[1]:
         raise ContractError(f"query dimension {raw_q.shape[1]} != index dimension {unit.shape[1]}")
-    scores = _pair_scores(unit, unit_rows(raw_q)[:, None])
-    best = scores.argmax(axis=1)
-    return best, scores[np.arange(len(best)), best]
+    u_q = unit_rows(raw_q)
+    g = u_q @ unit.T
+    n, d = unit.shape
+    sq_norm = max(1.0, np.einsum("ij,ij->i", u_q, u_q).max(),
+                  np.einsum("ij,ij->i", unit, unit).max())
+    cut = np.minimum(g.max(axis=1), 1.0 - _IDENTITY_BAND)
+    cut -= 6 * d * 2.0**-53 * sq_norm
+    rows, cols = np.divmod(np.flatnonzero(g >= cut[:, None]), n)
+    grid = np.zeros_like(g)
+    grid[rows, cols] = _pair_scores(unit[cols], u_q[rows])
+    best = grid.argmax(axis=1)
+    return best, grid[np.arange(len(best)), best]
 
 
 def query_top1(unit: np.ndarray, q) -> tuple[int, float]:

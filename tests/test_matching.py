@@ -229,8 +229,9 @@ class TestSharedNormalizationPath:
 
 
 class TestPairScoresKernel:
-    """The array kernel must reproduce the scalar one bit for bit: the smii
-    probe and the offline build score through it, smin through the scalar."""
+    """The array kernel must reproduce the scalar one bit for bit: smii's
+    rescore of the cells its GEMM cut keeps and the offline build's rescore
+    of its candidates score through it, smin through the scalar."""
 
     @staticmethod
     def _vectors(d):

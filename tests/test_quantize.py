@@ -7,7 +7,7 @@ import pytest
 from vwsim import (ContractError, Dataset, DomainError, ImageObject, Vocabulary, assign_words,
                    kmeans_quantize, tfidf_weights, zipf_probabilities)
 from vwsim.core import unit_rows
-from vwsim.quantize import _count_images, _spherical_kmeans
+from vwsim.quantize import _ASSIGN_ROWS, _count_images, _spherical_kmeans
 
 from oracles import count_images_reference, tfidf_reference
 
@@ -325,6 +325,33 @@ class TestAssign:
         words = Dataset(("a",), [0, 2], np.ones(2), word_ids=[0, 2], vocab=tiny_vocab)
         with pytest.raises(DomainError, match="the dataset's images have no inline descriptors"):
             assign_words(tiny_vocab, words)
+
+    @pytest.mark.parametrize("d, k", [(2, 3), (16, 300), (64, 1000)])
+    def test_blocked_ids_equal_the_unblocked_argmax(self, d, k):
+        # Two full blocks and five rows more, so the last block overlaps.
+        rng = np.random.RandomState(251 + d)
+        vocab = Vocabulary(vectors=unit_rows(rng.standard_normal((k, d))),
+                           frequencies=np.ones(k, dtype=np.int64))
+        raw = _raw(np.array_split(rng.standard_normal((2 * _ASSIGN_ROWS + 5, d)), 40))
+        unblocked = np.argmax(unit_rows(raw.vectors) @ vocab.unit_matrix.T, axis=1)
+        TestCountingOracle.assert_same_bits(
+            assign_words(vocab, raw), count_images_reference(raw.offsets, unblocked))
+
+    def test_scores_held_at_once_are_bounded_by_the_block(self):
+        # Eight blocks of descriptors: the full score matrix would be eight
+        # times a block's, but only one block's scores are held at a time.
+        rng = np.random.RandomState(257)
+        k, d = 128, 4
+        vocab = Vocabulary(vectors=unit_rows(rng.standard_normal((k, d))),
+                           frequencies=np.ones(k, dtype=np.int64))
+        raw = _raw(np.array_split(rng.standard_normal((8 * _ASSIGN_ROWS, d)), 64))
+        tracemalloc.start()
+        try:
+            assign_words(vocab, raw)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < _ASSIGN_ROWS * k * 8 + 2 * raw.vectors.nbytes
 
 
 # Both quantizers take a Dataset, whose constructor is the one check of the descriptors.

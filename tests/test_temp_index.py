@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import vwsim.temp_index as temp_index_module
 from conftest import random_raw_image, random_vocab, random_vocab_image
@@ -16,6 +18,9 @@ from vwsim import (
     smin_match,
     smin_similarity,
 )
+from vwsim.core import unit_rows
+from vwsim.matching import _pair_score, _scan_best
+from vwsim.temp_index import _top1
 
 
 def raw_image(name, vectors, weights=None):
@@ -173,7 +178,8 @@ class TestCallShape:
         a = random_raw_image(rng, 9, 4, "a")
         b = random_raw_image(rng, 5, 4, "b")
         temp_index_module.smii_match(a, b, 0.5)
-        assert shapes == [(9, 5)]
+        # One rescore of the cells the cut keeps: at least one per query word.
+        assert len(shapes) == 1 and len(shapes[0]) == 1 and 9 <= shapes[0][0] <= 9 * 5
 
     def test_index_built_exactly_once_per_call(self, monkeypatch):
         calls = {"n": 0}
@@ -191,3 +197,159 @@ class TestCallShape:
         assert calls["n"] == 1
         temp_index_module.smii_match(a, b, 0.5)
         assert calls["n"] == 2
+
+
+def _assert_top1_is_scan(unit, raw_q):
+    """``_top1`` gives ``_scan_best``'s partner and score bits for every query row."""
+    partners, scores = _top1(unit, raw_q)
+    best = [_scan_best(unit, u) for u in unit_rows(raw_q)]
+    assert partners.tolist() == [j for _, j in best]
+    assert scores.tobytes() == np.array([s for s, _ in best]).tobytes()
+
+
+class TestCut:
+    """The GEMM cut keeps every winner: near-ties inside its margin, the
+    identity band, clamped rows and rows far from unit length."""
+
+    @staticmethod
+    def _one_ulp_rows(d):
+        """A query and two rows whose kernel cosines with it differ by one ulp."""
+        rng = np.random.RandomState(7 + d)
+        raw_q = rng.standard_normal(d)
+        u_q = unit_rows(raw_q[None])[0]
+        near = rng.standard_normal(d) + raw_q + 1e-15 * rng.standard_normal((64, d))
+        scores = [_pair_score(u, u_q) for u in unit_rows(near)]
+        for i, low in enumerate(scores):
+            for j, high in enumerate(scores):
+                if high == np.nextafter(low, 2.0):
+                    return raw_q, near[i], near[j]
+        raise AssertionError("no pair one ulp apart")
+
+    @pytest.mark.parametrize("d", [2, 3, 16, 17, 64, 256])
+    def test_rows_one_ulp_apart(self, d):
+        raw_q, low, high = self._one_ulp_rows(d)
+        for rows, winner in (([low, high], 1), ([high, low], 0), ([low, high, high], 1),
+                             ([high, low, high], 0)):
+            unit = unit_rows(np.array(rows))
+            _assert_top1_is_scan(unit, raw_q[None])
+            assert _top1(unit, raw_q[None])[0].tolist() == [winner]
+
+    @pytest.mark.parametrize("d", [3, 16, 17, 64, 256])
+    def test_rows_tied_in_exact_arithmetic(self, d):
+        # A row and its reversal tie with their sum in exact arithmetic, so
+        # which one scores higher is decided by rounding alone, and a GEMM
+        # that sums in another order than the kernel can rank them apart.
+        rng = np.random.RandomState(31 + d)
+        for _ in range(40):
+            base = rng.standard_normal(d)
+            unit = unit_rows(np.array([base, base[::-1], np.roll(base, 1)]))
+            _assert_top1_is_scan(unit, np.array([base + base[::-1], base[::-1] + base]))
+
+    @pytest.mark.parametrize("d", [2, 3, 16, 64])
+    def test_identical_row_after_a_row_whose_dot_rounds_above_one(self, d):
+        rng = np.random.RandomState(11 + d)
+        for t in range(5000):
+            raw_q = rng.standard_normal(d)
+            above = raw_q.copy()
+            above[t % d] = np.nextafter(above[t % d], np.inf)
+            u_q, u_above = unit_rows(np.array([raw_q, above]))
+            if float(np.dot(u_above, u_q)) > 1.0:
+                break
+        else:
+            raise AssertionError("no row whose dot with the query rounds above 1")
+        assert not np.array_equal(u_above, u_q)
+        # Both score 1.0 (one clamped, one identical), so the first one wins.
+        for rows, winner in (([above, raw_q], 0), ([raw_q, above], 0),
+                             ([-raw_q, above, 2.0 * raw_q], 1)):
+            unit = unit_rows(np.array(rows))
+            _assert_top1_is_scan(unit, raw_q[None])
+            assert _top1(unit, raw_q[None])[0].tolist() == [winner]
+
+    def test_identity_lift_below_one(self):
+        # Rows whose self-dot falls short of 1.0: only the identity rule
+        # scores the copy 1.0, ahead of a nudged row just below it.
+        raw = np.random.RandomState(5).standard_normal((4000, 3))
+        unit = unit_rows(raw)
+        short = raw[np.einsum("ij,ij->i", unit, unit) < 1.0][:4]
+        assert len(short) == 4
+        for raw_q in short:
+            unit_b = unit_rows(np.array([raw_q + [1e-5 * raw_q[0], 0.0, 0.0], raw_q, raw_q]))
+            assert 1.0 - 1e-9 < float(np.dot(unit_b[0], unit_b[1])) < 1.0
+            _assert_top1_is_scan(unit_b, raw_q[None])
+            partners, scores = _top1(unit_b, raw_q[None])
+            assert partners.tolist() == [1] and scores.tolist() == [1.0]
+
+    def test_all_clamped_rows_keep_partner_zero(self):
+        rng = np.random.RandomState(97)
+        unit = unit_rows(-np.abs(rng.standard_normal((7, 16))))
+        raw_q = np.abs(rng.standard_normal((5, 16)))
+        raw_q[2] = -raw_q[2]          # the one row with positive cosines
+        partners, scores = _top1(unit, raw_q)
+        assert partners[[0, 1, 3, 4]].tolist() == [0, 0, 0, 0]
+        assert scores[[0, 1, 3, 4]].tolist() == [0.0] * 4 and scores[2] > 0.0
+        _assert_top1_is_scan(unit, raw_q)
+
+    def test_rows_normalized_from_a_subnormal_squared_norm(self):
+        # Such rows leave ``unit_rows`` far from unit length (squared norm
+        # 125.95 for this one); the margin scales with the largest.
+        d = 256
+        odd = np.full(d, 0.7 * 2.0**-537)
+        odd[0] = 2.0**-537
+        assert np.einsum("ij,ij->i", *[unit_rows(odd[None])] * 2)[0] > 100.0
+        rng = np.random.RandomState(101)
+        for _ in range(20):
+            raw_b = rng.standard_normal((12, d))
+            raw_b[::3] *= 2.0**-537 * rng.uniform(0.8, 2.8, (4, 1))
+            raw_b[5] = odd
+            raw_q = rng.standard_normal((6, d))
+            raw_q[::2] *= 2.0**-537 * 1.5
+            raw_q[1] = raw_b[0]
+            raw_q[3] = odd
+            _assert_top1_is_scan(unit_rows(raw_b), raw_q)
+
+    def test_the_cut_rescores_far_fewer_cells_than_the_grid(self, monkeypatch):
+        cells = []
+        real = temp_index_module._pair_scores
+
+        def counting(*args):
+            scores = real(*args)
+            cells.append(scores.size)
+            return scores
+
+        monkeypatch.setattr(temp_index_module, "_pair_scores", counting)
+        rng = np.random.RandomState(103)
+        for d in (16, 256):
+            _top1(unit_rows(rng.standard_normal((100, d))), rng.standard_normal((100, d)))
+        # Of 100 x 100 cells, one per query row: random rows leave no second
+        # one inside the margin.
+        assert cells == [100, 100]
+
+
+@st.composite
+def _top1_cases(draw):
+    """Index and query rows at d in {1, 2, 3, 16, 17, 64, 256}: fresh rows,
+    copies, scale copies and negations of earlier rows, and nudged copies."""
+    d = draw(st.sampled_from([1, 2, 3, 16, 17, 64, 256]))
+    rng = np.random.RandomState(draw(st.integers(0, 2**31 - 1)))
+    rows = [rng.standard_normal(d)]
+    for _ in range(draw(st.integers(1, 16))):
+        kind = draw(st.sampled_from(["fresh", "copy", "scale", "negate", "nudge"]))
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        if kind == "fresh":
+            row = rng.standard_normal(d)
+        elif kind == "scale":
+            row = draw(st.sampled_from([0.5, 2.0, 3.0, 1e-3])) * row
+        elif kind == "negate":
+            row = -row
+        elif kind == "nudge":
+            row = row + 1e-12 * rng.standard_normal(d)
+        rows.append(row)
+    n = draw(st.integers(1, len(rows) - 1))
+    return unit_rows(np.array(rows[:n])), np.array(rows[n:])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_top1_cases())
+def test_top1_equals_a_linear_scan(case):
+    unit, raw_q = case
+    _assert_top1_is_scan(unit, raw_q)
