@@ -14,6 +14,7 @@ import numpy as np
 
 from vwsim import (
     Vocabulary,
+    build_huffman_tree,
     build_psmi_index,
     huffman_depths,
     huffman_search,
@@ -37,7 +38,7 @@ for wid in range(5):
     entries = ", ".join(f"{w}:{s:.3f}" for w, s in zip(ids.tolist(), sims.tolist()))
     print(f"  word {wid} (freq {vocab.frequencies[wid]:>3}): [{entries}]")
 
-depths = huffman_depths(index.tree, K)
+depths = huffman_depths(build_huffman_tree(index.frequencies), K)
 print(f"\ntree depth by frequency (most frequent words get short codes):")
 for wid in (0, 1, K // 2, K - 2, K - 1):
     print(f"  word {wid:>2}: freq {int(vocab.frequencies[wid]):>3}  depth {int(depths[wid])}")

@@ -12,9 +12,9 @@ mirrors go ahead of the other entries, so ties keep ascending id with no
 id key. The index is three CSR arrays
 holding all lists back to back, and they are its only copy: a word's list
 is the read-only ``(ids, sims)`` slice pair that :func:`huffman_search`
-returns, and no object is built per list entry. The Huffman tree over the word
-frequencies is derived from the frequencies alone, on demand, and serves
-code-length statistics only.
+returns, and no object is built per list entry. The index holds no Huffman
+tree: :func:`build_huffman_tree` derives one from the frequencies alone
+when asked, and it serves code-length statistics only.
 
 Matching against this index never touches vectors at query time. Both
 :func:`_psmi_pairs` (one pair) and :func:`search` (one query, a whole
@@ -135,7 +135,7 @@ def huffman_depths(root: HuffmanNode, size: int) -> np.ndarray:
 
 def weighted_code_length(index: "PsimIndex") -> int:
     """Total frequency-weighted code length of the tree layout."""
-    depths = huffman_depths(index.tree, index.size)
+    depths = huffman_depths(build_huffman_tree(index.frequencies), index.size)
     return int(np.dot(index.frequencies, depths))
 
 
@@ -173,11 +173,6 @@ class PsimIndex:
         return self.frequencies.size
 
     @cached_property
-    def tree(self) -> HuffmanNode:
-        """Huffman tree over the word frequencies (a pure function of them)."""
-        return build_huffman_tree(self.frequencies)
-
-    @cached_property
     def lists(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         """Every word's ``(ids, sims)`` slice pair, in word-id order."""
         bounds = self.csr_offsets.tolist()
@@ -203,7 +198,8 @@ def build_psmi_index(vocab: Vocabulary, mu0_build: float) -> PsimIndex:
     from ``lo`` on, and keeps the positions above
     ``cut = mu0_build - (d + 2) * 2**-23`` with ``row <= col``.
 
-    The cut loses no pair. For unit float64 rows ``u, v`` with float32
+    The cut loses no pair. For float64 rows ``u, v`` from ``core.unit_rows``
+    (unit to within ``(d + 4) * 2**-52``, which the slack covers) with float32
     roundings ``û, v̂`` (``|û_i - u_i| <= 2**-24 |u_i|``), Cauchy-Schwarz gives
     ``|û·v̂ - u·v| <= (2 * 2**-24 + 2**-48) |u| |v|``; a float32 dot product
     in any summation order, with or without FMA, is within ``γ_d |û| |v̂|``

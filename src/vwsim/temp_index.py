@@ -52,19 +52,17 @@ def _top1(unit: np.ndarray, raw_q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     One GEMM ``g = u_q @ unit.T`` scores the grid in any summation order.
     Row ``i`` keeps the columns with ``g >= min(G_i, 1 - band) - margin``:
     ``G_i`` is the row's GEMM maximum, ``band`` the kernel's identity band,
-    and ``margin = 6 * d * 2**-53 * N``, where ``N >= 1`` bounds the squared
-    norm of every query and indexed row as computed. ``unit_rows`` leaves a
-    row a few ulp off unit length, so ``N`` is about 1; the scale also
-    covers a row normalized from a subnormal squared norm, which can land
-    far off. The kept cells are rescored with the kernel,
-    ``_pair_scores(unit[cols], u_q[rows])`` (B row first, as in smin's
-    ``_pair_score(unit_b[j], u_q)``), and scattered into a grid of zeros;
-    each row takes its first maximum.
+    and ``margin = 6 * d * 2**-53``. The kept cells are rescored with the
+    kernel, ``_pair_scores(unit[cols], u_q[rows])`` (B row first, as in
+    smin's ``_pair_score(unit_b[j], u_q)``), and scattered into a grid of
+    zeros; each row takes its first maximum.
 
-    The cut keeps every winner. A float64 dot product of ``u, v`` in any
-    order is within ``γ_d |u| |v| + d * 2**-1074`` of the exact one, where
-    ``γ_d = d * 2**-53 / (1 - d * 2**-53)`` (Higham 2002, §3.1; the second
-    term is underflow), and ``|u| |v| <= N``. So a GEMM cell and the
+    The cut keeps every winner. *unit* is :func:`build_temp_index`'s rows,
+    so both sides come from ``unit_rows`` and ``|u| |v| <= N = 1 + (d + 4) *
+    2**-52`` for every query row ``u`` and indexed row ``v``. A float64 dot
+    product of ``u, v`` in any order is within ``γ_d N + d * 2**-1074`` of
+    the exact one, where ``γ_d = d * 2**-53 / (1 - d * 2**-53)`` (Higham
+    2002, §3.1; the second term is underflow). So a GEMM cell and the
     kernel's ``np.dot`` ``s`` of the same pair differ by at most ``2 γ_d N``
     plus underflow. Let ``K`` be the row's best kernel value.
 
@@ -76,8 +74,8 @@ def _top1(unit: np.ndarray, raw_q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
       a row whose maximum lies within the band of 1 cuts at ``1 - band -
       margin``: its margin widens by up to the band.
 
-    ``margin`` exceeds ``4 γ_d N`` by about ``2 d * 2**-53 * N``, which
-    covers underflow and the rounding of the norms and of the cut.
+    ``margin`` exceeds ``4 γ_d N = 4 d * 2**-53 + O(d² * 2**-104)`` by about
+    ``2 d * 2**-53``, which covers the rest, underflow and the cut's rounding.
 
     The zero fill is exact. A cut cell is no winner, so its kernel value
     lies strictly below ``K``: when ``K > 0`` the filled row's first maximum
@@ -90,10 +88,7 @@ def _top1(unit: np.ndarray, raw_q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     u_q = unit_rows(raw_q)
     g = u_q @ unit.T
     n, d = unit.shape
-    sq_norm = max(1.0, np.einsum("ij,ij->i", u_q, u_q).max(),
-                  np.einsum("ij,ij->i", unit, unit).max())
-    cut = np.minimum(g.max(axis=1), 1.0 - _IDENTITY_BAND)
-    cut -= 6 * d * 2.0**-53 * sq_norm
+    cut = np.minimum(g.max(axis=1), 1.0 - _IDENTITY_BAND) - 6 * d * 2.0**-53
     rows, cols = np.divmod(np.flatnonzero(g >= cut[:, None]), n)
     grid = np.zeros_like(g)
     grid[rows, cols] = _pair_scores(unit[cols], u_q[rows])

@@ -473,13 +473,13 @@ class TestPsmiFiles:
         assert (tmp_path / "again.psmi").read_bytes() == path.read_bytes()
 
     def test_tree_rebuilt_identically(self, tmp_path):
-        from vwsim import huffman_depths
+        from vwsim import build_huffman_tree, huffman_depths
         vocab, idx = self._index(seed=149)
         path = tmp_path / "idx.psmi"
         save_psmi(idx, path)
         loaded = load_psmi(path)
-        assert np.array_equal(huffman_depths(loaded.tree, loaded.size),
-                              huffman_depths(idx.tree, idx.size))
+        assert np.array_equal(huffman_depths(build_huffman_tree(loaded.frequencies), loaded.size),
+                              huffman_depths(build_huffman_tree(idx.frequencies), idx.size))
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "idx.psmi"

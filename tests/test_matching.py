@@ -49,9 +49,10 @@ class TestCosine:
             cosine([float("inf"), 0.0], [1.0, 0.0])
 
     def test_squared_norm_out_of_range(self):
-        # Finite vectors whose squared norm overflows or underflows cannot be
-        # normalized; they are refused instead of scoring 0.
-        for v in ([1e200, 0.0], [1e-200, 0.0]):
+        # Finite vectors whose squared norm overflows, underflows to 0 or
+        # lands in the subnormal range (1e-320) cannot be normalized to unit
+        # length; they are refused instead of scoring 0 or a wrong cosine.
+        for v in ([1e200, 0.0], [1e-200, 0.0], [1e-160, 0.0]):
             with pytest.raises(DomainError, match="squared norm"):
                 cosine(v, v)
 
@@ -186,7 +187,8 @@ class TestSharedNormalizationPath:
         from vwsim.core import unit_rows
 
         big, tiny = 1e200, 1e-200
-        for bad in ([0.0, 0.0], [big, big], [big, 0.0], [tiny, 0.0], [float("nan"), 1.0]):
+        for bad in ([0.0, 0.0], [big, big], [big, 0.0], [tiny, 0.0], [1e-160, 0.0],
+                    [float("nan"), 1.0]):
             with pytest.raises(DomainError):
                 unit_rows(np.array([[1.0, 0.0], bad]))
             with pytest.raises(DomainError):

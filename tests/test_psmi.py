@@ -212,7 +212,7 @@ class TestHuffman:
     def test_textbook_depths(self, tiny_vocab):
         # Merge (1, 3) -> 4, then (4, 5) -> 9: depths 1, 2, 2.
         idx = build_psmi_index(tiny_vocab, 0.7)
-        assert huffman_depths(idx.tree, 3).tolist() == [1, 2, 2]
+        assert huffman_depths(build_huffman_tree(idx.frequencies), 3).tolist() == [1, 2, 2]
         assert weighted_code_length(idx) == 5 * 1 + 3 * 2 + 1 * 2
 
     def test_single_leaf(self):

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -209,7 +211,8 @@ def _assert_top1_is_scan(unit, raw_q):
 
 class TestCut:
     """The GEMM cut keeps every winner: near-ties inside its margin, the
-    identity band, clamped rows and rows far from unit length."""
+    identity band and clamped rows. Rows that would leave ``unit_rows`` far
+    from unit length never reach it."""
 
     @staticmethod
     def _one_ulp_rows(d):
@@ -289,23 +292,26 @@ class TestCut:
         assert scores[[0, 1, 3, 4]].tolist() == [0.0] * 4 and scores[2] > 0.0
         _assert_top1_is_scan(unit, raw_q)
 
-    def test_rows_normalized_from_a_subnormal_squared_norm(self):
-        # Such rows leave ``unit_rows`` far from unit length (squared norm
-        # 125.95 for this one); the margin scales with the largest.
+    def test_rows_with_a_subnormal_squared_norm_are_refused(self):
+        # Normalized, this row would come out with squared norm 125.95, and
+        # its raw dots would run about 11x its cosines: it is refused instead.
         d = 256
         odd = np.full(d, 0.7 * 2.0**-537)
         odd[0] = 2.0**-537
-        assert np.einsum("ij,ij->i", *[unit_rows(odd[None])] * 2)[0] > 100.0
+        assert 0.0 < np.dot(odd, odd) < np.finfo(np.float64).tiny
+        with pytest.raises(DomainError, match="subnormal"):
+            unit_rows(np.array([np.ones(d), odd]))
+        # smii never sees it: an image holding it is refused at construction,
+        # and a query row handed to ``_top1`` directly is refused there.
         rng = np.random.RandomState(101)
-        for _ in range(20):
-            raw_b = rng.standard_normal((12, d))
-            raw_b[::3] *= 2.0**-537 * rng.uniform(0.8, 2.8, (4, 1))
-            raw_b[5] = odd
-            raw_q = rng.standard_normal((6, d))
-            raw_q[::2] *= 2.0**-537 * 1.5
-            raw_q[1] = raw_b[0]
-            raw_q[3] = odd
-            _assert_top1_is_scan(unit_rows(raw_b), raw_q)
+        a = raw_image("a", rng.standard_normal((3, d)))
+        with pytest.raises(DomainError, match="image 'b'.*subnormal"):
+            smii_similarity(a, raw_image("b", [odd]), 0.5)
+        with pytest.raises(DomainError, match="subnormal"):
+            _top1(build_temp_index(a), odd[None])
+        # The same direction at a normal scale is accepted and unit.
+        u = unit_rows(2.0**537 * odd[None])[0]
+        assert abs(np.dot(u, u) - 1.0) <= (d + 4) * 2.0**-52
 
     def test_the_cut_rescores_far_fewer_cells_than_the_grid(self, monkeypatch):
         cells = []
@@ -353,3 +359,31 @@ def _top1_cases(draw):
 def test_top1_equals_a_linear_scan(case):
     unit, raw_q = case
     _assert_top1_is_scan(unit, raw_q)
+
+
+@st.composite
+def _scaled_rows(draw):
+    """A standard normal direction at d in {1, 2, 3, 16, 64, 256, 1024}, its
+    elements spread over up to 2**±30, scaled by 2**e for e in [-560, 560],
+    drawn often near the edges where the squared norm leaves the normal range."""
+    d = draw(st.sampled_from([1, 2, 3, 16, 64, 256, 1024]))
+    rng = np.random.RandomState(draw(st.integers(0, 2**31 - 1)))
+    spread = draw(st.sampled_from([0, 1, 4, 30]))
+    e = draw(st.one_of(st.integers(-560, 560), st.integers(-560, -500), st.integers(500, 560)))
+    return rng.standard_normal(d) * 2.0**rng.randint(-spread, spread + 1, d) * 2.0**e
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_scaled_rows())
+def test_unit_rows_refuses_or_returns_a_unit_row(row):
+    # The invariant ``_top1``'s margin rests on: a row is refused exactly when
+    # its computed squared norm is 0, subnormal or infinite, and otherwise
+    # comes back within (d + 4) * 2**-52 of unit squared norm, exactly summed.
+    sq = np.einsum("ij,ij->i", row[None], row[None])[0]
+    if not np.finfo(np.float64).tiny <= sq < np.inf:
+        with pytest.raises(DomainError):
+            unit_rows(row[None])
+        return
+    u = unit_rows(row[None])[0]
+    exact = sum(Fraction(x) ** 2 for x in u.tolist())
+    assert abs(exact - 1) <= Fraction(row.size + 4, 2**52)
