@@ -289,10 +289,8 @@ class Vocabulary:
         vecs = _column(self.vectors, np.float64, "vocabulary vectors", (None, None))
         if vecs.size < 1:
             raise DomainError(f"vocabulary vectors must be non-empty, got shape {vecs.shape}")
-        finite = np.isfinite(vecs).all(axis=1)
-        if not finite.all():
-            raise DomainError(f"vocabulary word {int(finite.argmin())} has non-finite components")
-        off_unit = np.abs(np.sqrt(np.einsum("ij,ij->i", vecs, vecs)) - 1.0) > UNIT_NORM_TOL
+        sq = _squared_norms(vecs, lambda row: f"vocabulary word {row}")
+        off_unit = np.abs(np.sqrt(sq) - 1.0) > UNIT_NORM_TOL
         if off_unit.any():
             raise DomainError(f"vocabulary word {int(off_unit.argmax())} is not unit length")
         freqs = _column(self.frequencies, np.int64, "frequencies", (vecs.shape[0],))

@@ -6,6 +6,9 @@ quantizers take a raw :class:`~vwsim.io.Dataset`, whose constructor has
 checked its descriptors, and return its images counted over their words:
 ``assign_words`` against a given vocabulary, ``kmeans_quantize`` against
 one it builds by spherical k-means (unit centroids, cosine assignment).
+Both find each descriptor's nearest word through ``_nearest``, which scores
+in fixed blocks of rows, so the scores held at once grow with the vocabulary,
+not with the descriptor count.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ __all__ = ["tfidf_weights", "assign_words", "kmeans_quantize"]
 
 _MAX_ITER = 100  # Lloyd rounds at most,
 _TOL = 1e-6  # or until no centroid moves this far
-_ASSIGN_ROWS = 4096  # descriptors scored against the vocabulary per block
+_ASSIGN_ROWS = 4096  # descriptors scored against the words per block
 
 
 def tfidf_weights(dataset: Dataset) -> Dataset:
@@ -78,30 +81,44 @@ def _descriptors(raw: Dataset, need: str) -> np.ndarray:
     return unit_rows(raw.vectors)
 
 
+def _nearest(points: np.ndarray, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each unit row's nearest word by cosine, ties to the smallest word id,
+    and that cosine.
+
+    Rows are scored against the unit *words* in blocks of ``_ASSIGN_ROWS``
+    into one buffer, so the scores held at once grow with the vocabulary, not
+    with the row count. Every block has ``_ASSIGN_ROWS`` rows (all of them, if
+    fewer): the last one overlaps its neighbour rather than run short, so BLAS
+    runs one kernel on every block. A short tail could take another (one row
+    is a matrix-vector product) and round its scores apart from the full
+    product's.
+    """
+    count = points.shape[0]
+    ids = np.empty(count, dtype=np.int64)
+    cosines = np.empty(count)
+    rows = min(count, _ASSIGN_ROWS)
+    scores = np.empty((rows, words.shape[0]))
+    for lo in range(0, count, _ASSIGN_ROWS):
+        lo = max(min(lo, count - _ASSIGN_ROWS), 0)
+        np.matmul(points[lo:lo + rows], words.T, out=scores)
+        best = np.argmax(scores, axis=1)
+        ids[lo:lo + rows] = best
+        cosines[lo:lo + rows] = np.take_along_axis(scores, best[:, None], axis=1)[:, 0]
+    return ids, cosines
+
+
 def assign_words(vocab: Vocabulary, raw: Dataset) -> Dataset:
     """Quantize every image of a raw dataset against *vocab*.
 
     Each descriptor becomes its nearest word by cosine, ties to the smallest
     word id; each output image keeps its id and carries its per-word counts
     (weights count/max pending tf-idf), as :func:`kmeans_quantize` returns.
-    Descriptors are scored in blocks of ``_ASSIGN_ROWS`` rows, so the scores
-    held at once grow with the vocabulary, not with the descriptor count.
     """
     points = _descriptors(raw, "word assignment")
     if points.shape[1] != vocab.dimension:
         raise DomainError(
             f"descriptor dimension {points.shape[1]} != vocabulary dimension {vocab.dimension}")
-    # Every block has _ASSIGN_ROWS rows (all of them, if fewer): the last one
-    # overlaps its neighbour rather than run short, so BLAS runs one kernel on
-    # every block. A short tail could take another (one row is a matrix-vector
-    # product) and round its scores apart from the full product's.
-    words = vocab.unit_matrix.T
-    count = points.shape[0]
-    assignment = np.empty(count, dtype=np.int64)
-    for lo in range(0, count, _ASSIGN_ROWS):
-        lo = max(min(lo, count - _ASSIGN_ROWS), 0)
-        assignment[lo:lo + _ASSIGN_ROWS] = np.argmax(points[lo:lo + _ASSIGN_ROWS] @ words, axis=1)
-    return _count_images(raw.image_ids, raw.offsets, assignment, vocab)
+    return _count_images(raw.image_ids, raw.offsets, _nearest(points, vocab.unit_matrix)[0], vocab)
 
 
 def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.RandomState) -> np.ndarray:
@@ -134,9 +151,8 @@ def _spherical_kmeans(points: np.ndarray, k: int, rng: np.random.RandomState):
     centroids = _kmeans_pp_init(points, k, rng)
     history, movement = [], np.inf
     while True:
-        scores = points @ centroids.T
-        assignment = np.argmax(scores, axis=1)
-        history.append(float(scores[np.arange(points.shape[0]), assignment].mean()))
+        assignment, cosines = _nearest(points, centroids)
+        history.append(float(cosines.mean()))
         if movement < _TOL or len(history) > _MAX_ITER:
             return centroids, assignment, history
         # ``add.at`` sums each cluster's rows from 0.0 in point order and the

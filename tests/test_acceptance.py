@@ -203,41 +203,45 @@ class TestCriterion4RangeAndMonotonicity:
 @pytest.mark.slow
 class TestCriterion5PerformanceOrdering:
     """Gamma=1000 pairs at d=256, K=10000 throughout. The ordering point
-    runs all three matchers at m=n=100; the growth checks sweep m from 20
-    to 100 per algorithm (points adjacent in time). Each growth is the
-    median ratio over three independent sweeps; the fast matcher's points
-    take nine repetitions (at ~0.05 ms/pair a transient load burst can tilt
-    a median of three, and nine 0.05 s passes are cheap), the slow one's
-    three. Both matchers' sweeps alternate their point order, 20 then 100,
-    100 then 20, 20 then 100, so a steady drift in host speed tilts their
-    ratios in opposite directions instead of all the same way."""
+    runs all three matchers at m=n=100; the growth checks sweep m over 20,
+    100, 20 per algorithm (points adjacent in time) and divide the m=100
+    median by the mean of its two flanking m=20 medians: the order is its
+    own mirror, so a steady drift in host speed cancels, and a switch between
+    two speeds lands on an m=20 point either way instead of on one side of
+    the ratio. Each growth is the median ratio over three independent
+    sweeps; the fast matcher's points take nine repetitions (at ~0.05
+    ms/pair a transient load burst can tilt a median of three, and nine
+    0.05 s passes are cheap), the slow one's three."""
 
     @staticmethod
     def _sweep(algorithms, m_values, repetitions):
         cfg = BenchConfig(algorithms=algorithms, pair_count=1000, m_values=m_values,
                           n_values=(100,), dimension=256, vocab_size=10000,
                           mu0=0.7, seed=17, repetitions=repetitions)
-        return {(r["algo"], r["m"]): r["per_pair_us"]
-                for r in run_bench(cfg) if r["algo"] != "psmi-build"}
+        return [r for r in run_bench(cfg) if r["algo"] != "psmi-build"]
+
+    def _growth(self, algorithm, repetitions):
+        first, top, last = (r["per_pair_us"]
+                            for r in self._sweep((algorithm,), (20, 100, 20), repetitions))
+        return top / ((first + last) / 2.0)
 
     def test_ordering_and_growth(self, capsys):
         start = time.perf_counter()
-        top = self._sweep(("smin", "smii", "psmi"), (100,), repetitions=3)
+        top = {r["algo"]: r["per_pair_us"]
+               for r in self._sweep(("smin", "smii", "psmi"), (100,), repetitions=3)}
         offline_ratios, naive_ratios = [], []
-        for m_values in ((20, 100), (100, 20), (20, 100)):
-            offline = self._sweep(("psmi",), m_values, repetitions=9)
-            offline_ratios.append(offline[("psmi", 100)] / offline[("psmi", 20)])
-            naive = self._sweep(("smin",), m_values, repetitions=3)
-            naive_ratios.append(naive[("smin", 100)] / naive[("smin", 20)])
+        for _ in range(3):
+            offline_ratios.append(self._growth("psmi", repetitions=9))
+            naive_ratios.append(self._growth("smin", repetitions=3))
         elapsed = time.perf_counter() - start
 
-        ordering_ok = top[("psmi", 100)] < top[("smii", 100)] < top[("smin", 100)]
+        ordering_ok = top["psmi"] < top["smii"] < top["smin"]
         psmi_growth = sorted(offline_ratios)[1] - 1.0
         smin_growth = sorted(naive_ratios)[1]
         ok = (ordering_ok and psmi_growth < 0.25 and smin_growth >= 4.0 and elapsed < 600.0)
         report(capsys, 5, ok,
-               f"per-pair at m=100: psmi {top[('psmi', 100)]:.0f}us < smii "
-               f"{top[('smii', 100)]:.0f}us < smin {top[('smin', 100)]:.0f}us; psmi growth "
+               f"per-pair at m=100: psmi {top['psmi']:.0f}us < smii "
+               f"{top['smii']:.0f}us < smin {top['smin']:.0f}us; psmi growth "
                f"20->100 {psmi_growth * 100:+.1f}% (<25%), smin growth {smin_growth:.2f}x "
                f"(>=4x); sweeps took {elapsed:.0f}s")
 

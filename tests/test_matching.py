@@ -4,8 +4,8 @@ import pytest
 from conftest import random_raw_image, random_vocab, random_vocab_image
 from oracles import brute_force_match
 
-from vwsim import (ContractError, DomainError, ImageObject, VisualWord, build_psmi_index, cosine,
-                   psmi_match, smii_match, smin_match, smin_similarity)
+from vwsim import (ContractError, DomainError, ImageObject, VisualWord, Vocabulary,
+                   build_psmi_index, cosine, psmi_match, smii_match, smin_match, smin_similarity)
 
 
 class TestCosine:
@@ -195,6 +195,9 @@ class TestSharedNormalizationPath:
                 ImageObject(image_id="x", weights=np.ones(1), vectors=np.array([bad]))
             with pytest.raises(DomainError):
                 VisualWord(None, bad, 1.0)
+            with pytest.raises(DomainError, match=r"^vocabulary word 1 has a zero vector, or one "
+                               r"whose squared norm is 0, subnormal or non-finite$"):
+                Vocabulary(vectors=[[1.0, 0.0], bad], frequencies=[1, 1])
         # Normal rows keep the bits of a plain divide by the root of the squared norm.
         mat = np.random.RandomState(229).standard_normal((50, 7)) * 1e100
         norms = np.sqrt(np.einsum("ij,ij->i", mat, mat))

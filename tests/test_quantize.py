@@ -253,6 +253,29 @@ class TestKmeans:
         with pytest.raises(DomainError, match="the dataset's images have no inline descriptors"):
             kmeans_quantize(words, 2, seed=0)
 
+    def test_final_assignment_equals_the_unblocked_argmax(self):
+        # Two full blocks and five rows more, so the last block overlaps.
+        rng = np.random.RandomState(263)
+        points = unit_rows(rng.standard_normal((2 * _ASSIGN_ROWS + 5, 6)))
+        centroids, assignment, history = _spherical_kmeans(points, 20, np.random.RandomState(4))
+        scores = points @ centroids.T
+        assert np.array_equal(assignment, np.argmax(scores, axis=1))
+        assert history[-1] == float(scores.max(axis=1).mean())
+
+    def test_scores_held_at_once_are_bounded_by_the_block(self):
+        # Eight blocks of descriptors: the full score matrix would be eight
+        # times a block's, but every Lloyd round holds one block's at a time.
+        rng = np.random.RandomState(269)
+        k, d = 128, 4
+        raw = _raw(np.array_split(rng.standard_normal((8 * _ASSIGN_ROWS, d)), 64))
+        tracemalloc.start()
+        try:
+            kmeans_quantize(raw, k, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < _ASSIGN_ROWS * k * 8 + 3 * raw.vectors.nbytes
+
     def test_images_keep_their_ids_and_descriptor_counts(self):
         rng = np.random.RandomState(211)
         raw = Dataset(("harbor", "street_day", "alley"), [0, 7, 8, 20], np.ones(20),
