@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import ImageObject, unit_rows
+from .core import ImageObject
 from .errors import ContractError
 
 __all__ = ["mean_vector_similarity"]
@@ -18,8 +18,8 @@ __all__ = ["mean_vector_similarity"]
 def mean_vector_similarity(a: ImageObject, b: ImageObject) -> float:
     if a.dimension != b.dimension:
         raise ContractError("images have different vector dimensions")
-    mean_a = (a.weights[:, None] * unit_rows(a.vector_matrix())).sum(axis=0)
-    mean_b = (b.weights[:, None] * unit_rows(b.vector_matrix())).sum(axis=0)
+    mean_a = (a.weights[:, None] * a.unit_rows()).sum(axis=0)
+    mean_b = (b.weights[:, None] * b.unit_rows()).sum(axis=0)
     norm = float(np.linalg.norm(mean_a)) * float(np.linalg.norm(mean_b))
     if norm == 0.0:
         return 0.0

@@ -147,7 +147,10 @@ def unit_rows(matrix: np.ndarray) -> np.ndarray:
     package. Keeping it unique matters: the per-row arithmetic is identical
     no matter how many rows are passed, so the same input bits always yield
     the same output bits, which is what makes the matching algorithms agree
-    exactly.
+    exactly. The matchers lean on this: a vocabulary-backed image reads its
+    rows from ``Vocabulary.unit_matrix``, this function over all ``K`` rows
+    at once, while a raw image with the same vectors normalizes its own
+    ``m`` rows, and both must give the same bits.
 
     A row whose computed squared norm is not a positive normal float is
     refused, so every row returned has ``|‖u‖² - 1| <= (d + 4) * 2**-52``:
@@ -310,7 +313,10 @@ class Vocabulary:
 
     @cached_property
     def unit_matrix(self) -> np.ndarray:
-        """Rows renormalized through the shared path (bit-compatible with matching)."""
+        """Rows renormalized through the shared path, computed once and held.
+
+        The offline build reads it, and so does every matcher through
+        :meth:`ImageObject.unit_rows`."""
         return _readonly(unit_rows(self.vectors))
 
     @cached_property
@@ -451,6 +457,17 @@ class ImageObject:
         if self.vectors is not None:
             return self.vectors
         return self.vocab.vectors[self.word_ids]
+
+    def unit_rows(self) -> np.ndarray:
+        """The ``(m, d)`` word rows at unit length, fresh on every call.
+
+        A vocabulary-backed image gathers them from the vocabulary's cached
+        ``unit_matrix``; since :func:`unit_rows` is row-local, they are the
+        bits that normalizing :meth:`vector_matrix` would give.
+        """
+        if self.vectors is not None:
+            return unit_rows(self.vectors)
+        return self.vocab.unit_matrix[self.word_ids]
 
     def with_weights(self, weights: np.ndarray) -> "ImageObject":
         return ImageObject(image_id=self.image_id, weights=weights, word_ids=self.word_ids,

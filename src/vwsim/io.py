@@ -398,13 +398,18 @@ def load_psmi(path, vocab: Optional[Vocabulary] = None) -> PsimIndex:
     records = np.frombuffer(data, dtype=_RECORD, count=n_records, offset=_PSMI_PREFIX.size)
     heads = records.view(_WORD_HEADER)
     counts = heads["count"]
-    head_pos = np.empty(k, dtype=np.int64)
+    # The walk is sequential, each header giving the next one's place. It
+    # reads the count words through a native-order memoryview, whose items
+    # are Python ints, since indexing a numpy array costs a scalar per step.
+    count_at = memoryview(counts.astype(np.uint32, copy=False))
+    head_pos = [0] * k
     pos = 0
     for wid in range(k):
         if pos >= n_records:
             raise FormatError(f"{where}: truncated index file")
         head_pos[wid] = pos
-        pos += 1 + int(counts[pos])
+        pos += 1 + count_at[pos]
+    head_pos = np.array(head_pos, dtype=np.int64)
     if pos > n_records:
         raise FormatError(f"{where}: truncated index file")
     if _PSMI_PREFIX.size + pos * _RECORD.itemsize != len(data):

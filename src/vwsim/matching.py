@@ -17,7 +17,9 @@ implementations:
 * a pair whose unit rows are bitwise identical scores exactly 1.0 (so a
   word always matches a copy or an exact scale copy of itself perfectly).
 
-Raw vectors stop at :func:`vwsim.core.unit_rows`: the kernel reads unit rows only.
+Raw vectors stop at :func:`vwsim.core.unit_rows`, directly or through
+``Vocabulary.unit_matrix`` (see ``ImageObject.unit_rows``): the kernel reads
+unit rows only.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from .core import (
     _pair_similarity,
     as_vector,
     check_threshold,
-    unit_rows,
     unit_vector,
 )
 from .errors import ContractError
@@ -113,13 +114,13 @@ def _smin_pairs(a: ImageObject, b: ImageObject, mu0: float):
     partner when the similarity exceeds ``mu0`` strictly.
     """
     mu0 = check_threshold(mu0)
-    raw_a = a.vector_matrix()
-    raw_b = b.vector_matrix()
-    if raw_a.shape[1] != raw_b.shape[1]:
+    unit_a = a.unit_rows()
+    unit_b = b.unit_rows()
+    if unit_a.shape[1] != unit_b.shape[1]:
         raise ContractError("images have different vector dimensions")
     # A plain list keeps the inner loop free of repeated fancy-index overhead.
-    ub_rows = list(unit_rows(raw_b))
-    best = [_scan_best(ub_rows, u) for u in unit_rows(raw_a)]
+    ub_rows = list(unit_b)
+    best = [_scan_best(ub_rows, u) for u in unit_a]
     lam = np.array([s for s, _ in best])
     b_idx = np.array([j for _, j in best], dtype=np.int64)
     a_idx = (lam > mu0).nonzero()[0]

@@ -155,11 +155,13 @@ def _spherical_kmeans(points: np.ndarray, k: int, rng: np.random.RandomState):
         history.append(float(cosines.mean()))
         if movement < _TOL or len(history) > _MAX_ITER:
             return centroids, assignment, history
-        # ``add.at`` sums each cluster's rows from 0.0 in point order and the
-        # vector-by-vector matmul is ``np.linalg.norm``'s dot, so centroids
-        # keep their bits. An empty cluster gets a zero mean.
-        sums = np.zeros(centroids.shape)
-        np.add.at(sums, assignment, points)
+        # ``bincount`` adds a column's entries into their clusters' bins from
+        # 0.0 in point order, as ``np.add.at(sums, assignment, points)`` does
+        # at several times its cost, and the vector-by-vector matmul is
+        # ``np.linalg.norm``'s dot, so centroids keep their bits. An empty
+        # cluster gets a zero mean. (``add.reduceat`` would sum pairwise.)
+        sums = np.stack([np.bincount(assignment, weights=column, minlength=k)
+                         for column in points.T], axis=1)
         means = sums / np.maximum(np.bincount(assignment, minlength=k), 1)[:, None]
         norms = np.sqrt((means[:, None, :] @ means[:, :, None])[:, 0, 0])
         moved = norms > 0.0

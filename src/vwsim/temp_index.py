@@ -3,12 +3,14 @@
 Instead of scanning all of B once per query word, build an exact top-1
 cosine index over B a single time per match call, then answer every query
 word of A from one matrix product. The index is B's unit rows, read-only.
-One GEMM scores the whole (m, n) grid in whatever order the BLAS sums; a
-proven margin below each row's maximum cuts the grid to the few cells that
-can hold the row's best partner; the array form of the kernel the naive
-matcher uses rescores those cells exactly, and each row takes its first
-maximum. So results are bit-identical to :func:`vwsim.matching.smin_match`
-(the margin's proof is in :func:`_top1`).
+Both images' rows come from ``ImageObject.unit_rows``, which a
+vocabulary-backed image gathers from ``Vocabulary.unit_matrix``, so no row is
+normalized twice. One GEMM scores the whole (m, n) grid in whatever order
+the BLAS sums; a proven margin below each row's maximum cuts the grid to
+the few cells that can hold the row's best partner; the array form of the
+kernel the naive matcher uses rescores those cells exactly, and each row
+takes its first maximum. So results are bit-identical to
+:func:`vwsim.matching.smin_match` (the margin's proof is in :func:`_top1`).
 
 The index is intentionally rebuilt on every match call: it belongs to one
 target image and is never reused across calls (reuse across the whole
@@ -38,12 +40,12 @@ __all__ = ["build_temp_index", "query_top1", "smii_match", "smii_similarity"]
 
 
 def build_temp_index(b: ImageObject) -> np.ndarray:
-    """Index all words of *b*: their read-only ``(n, d)`` unit rows, in one normalization pass."""
-    return _readonly(unit_rows(b.vector_matrix()))
+    """Index all words of *b*: their read-only ``(n, d)`` unit rows, from ``b.unit_rows()``."""
+    return _readonly(b.unit_rows())
 
 
-def _top1(unit: np.ndarray, raw_q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Best indexed row and its clamped cosine for each ``(q, d)`` query row.
+def _top1(unit: np.ndarray, u_q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Best indexed row and its clamped cosine for each ``(q, d)`` unit query row.
 
     Partners and score bits equal those of scoring the whole (q, n) grid
     with the kernel and taking each row's first maximum, so ties go to the
@@ -57,9 +59,10 @@ def _top1(unit: np.ndarray, raw_q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     smin's ``_pair_score(unit_b[j], u_q)``), and scattered into a grid of
     zeros; each row takes its first maximum.
 
-    The cut keeps every winner. *unit* is :func:`build_temp_index`'s rows,
-    so both sides come from ``unit_rows`` and ``|u| |v| <= N = 1 + (d + 4) *
-    2**-52`` for every query row ``u`` and indexed row ``v``. A float64 dot
+    The cut keeps every winner. *unit* is :func:`build_temp_index`'s rows
+    and *u_q* the query's, so both sides come from ``unit_rows``, directly
+    or through ``Vocabulary.unit_matrix``, and ``|u| |v| <= N = 1 + (d + 4)
+    * 2**-52`` for every query row ``u`` and indexed row ``v``. A float64 dot
     product of ``u, v`` in any order is within ``γ_d N + d * 2**-1074`` of
     the exact one, where ``γ_d = d * 2**-53 / (1 - d * 2**-53)`` (Higham
     2002, §3.1; the second term is underflow). So a GEMM cell and the
@@ -83,9 +86,8 @@ def _top1(unit: np.ndarray, raw_q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     0, the filled row is all zeros, and its first maximum is column 0, as
     the full grid's is.
     """
-    if raw_q.shape[1] != unit.shape[1]:
-        raise ContractError(f"query dimension {raw_q.shape[1]} != index dimension {unit.shape[1]}")
-    u_q = unit_rows(raw_q)
+    if u_q.shape[1] != unit.shape[1]:
+        raise ContractError(f"query dimension {u_q.shape[1]} != index dimension {unit.shape[1]}")
     g = u_q @ unit.T
     n, d = unit.shape
     cut = np.minimum(g.max(axis=1), 1.0 - _IDENTITY_BAND) - 6 * d * 2.0**-53
@@ -97,19 +99,20 @@ def _top1(unit: np.ndarray, raw_q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def query_top1(unit: np.ndarray, q) -> tuple[int, float]:
-    """Exact argmax of clamped cosine over the indexed words.
+    """Exact argmax of clamped cosine of the raw vector *q* over the indexed words.
 
-    Returns ``(index, cosine)`` exactly as a linear scan with
-    smallest-index tie-breaking would. No threshold is applied here.
+    *q* is normalized here, through ``unit_rows``. Returns ``(index,
+    cosine)`` exactly as a linear scan with smallest-index tie-breaking
+    would. No threshold is applied here.
     """
-    best, scores = _top1(unit, as_vector(q)[None])
+    best, scores = _top1(unit, unit_rows(as_vector(q)[None]))
     return int(best[0]), float(scores[0])
 
 
 def _smii_pairs(a: ImageObject, b: ImageObject, mu0: float):
     """smii's pairs of A in B: each matched A position, its B position and λ, ascending."""
     mu0 = check_threshold(mu0)
-    partners, mu = _top1(build_temp_index(b), a.vector_matrix())
+    partners, mu = _top1(build_temp_index(b), a.unit_rows())
     a_idx = (mu > mu0).nonzero()[0]
     return a_idx, partners[a_idx], mu[a_idx]
 

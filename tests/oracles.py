@@ -6,9 +6,10 @@ matching oracles reuse the package's scalar ``cosine`` primitive and
 nothing else: exact float agreement is part of the contract under test, and
 that requires one shared arithmetic kernel; everything around it (loops,
 argmax, tie-breaking, thresholding, bookkeeping) is reimplemented here.
-:func:`all_pairs_reference` is the one exception: it keeps an earlier
-build of the offline index, so the build's CSR arrays can be compared
-against it bit for bit.
+:func:`all_pairs_reference` and :func:`lloyd_reference` are the
+exceptions: they keep an earlier build of the offline index and an earlier
+k-means loop, so the build's CSR arrays and the codebook can be compared
+against them bit for bit.
 """
 
 import json
@@ -18,6 +19,7 @@ import numpy as np
 
 from vwsim import ImageObject
 from vwsim.matching import _pair_scores, cosine
+from vwsim.quantize import _MAX_ITER, _TOL, _kmeans_pp_init, _nearest
 
 
 def brute_force_match(a, b, mu0):
@@ -200,3 +202,27 @@ def all_pairs_reference(vocab, mu0):
     order = np.lexsort((-sims, rows != cols, rows))
     offsets = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=k))))
     return offsets, cols[order], sims[order]
+
+
+def lloyd_reference(points, k, rng):
+    """``_spherical_kmeans``' Lloyd loop with its cluster sums by ``np.add.at``.
+
+    Same seeding, nearest-word scorer, stopping rule and normalization; each
+    cluster's rows are summed from 0.0 in point order, one ``add.at`` step
+    at a time.
+    """
+    centroids = _kmeans_pp_init(points, k, rng)
+    history, movement = [], np.inf
+    while True:
+        assignment, cosines = _nearest(points, centroids)
+        history.append(float(cosines.mean()))
+        if movement < _TOL or len(history) > _MAX_ITER:
+            return centroids, assignment, history
+        sums = np.zeros(centroids.shape)
+        np.add.at(sums, assignment, points)
+        means = sums / np.maximum(np.bincount(assignment, minlength=k), 1)[:, None]
+        norms = np.sqrt((means[:, None, :] @ means[:, :, None])[:, 0, 0])
+        moved = norms > 0.0
+        previous, centroids = centroids, centroids.copy()
+        centroids[moved] = means[moved] / norms[moved, None]
+        movement = float(np.sqrt(((centroids - previous) ** 2).sum(axis=1)).max())

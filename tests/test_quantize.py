@@ -9,7 +9,7 @@ from vwsim import (ContractError, Dataset, DomainError, ImageObject, Vocabulary,
 from vwsim.core import unit_rows
 from vwsim.quantize import _ASSIGN_ROWS, _count_images, _spherical_kmeans
 
-from oracles import count_images_reference, tfidf_reference
+from oracles import count_images_reference, lloyd_reference, tfidf_reference
 
 
 def _raw(feature_sets):
@@ -232,6 +232,30 @@ class TestKmeans:
         for img in dataset.images:
             digest.update(img.word_ids.tobytes() + img.counts.tobytes())
         assert digest.hexdigest() == "6accef5f48058870881d9ad72234a67378d3fe435ee7fe3a4b3874080bde3fc6"
+
+    @pytest.mark.parametrize("noise", [0.0, 1e-3])
+    @pytest.mark.parametrize("n, d, k", [(900, 1, 6), (2000, 3, 12), (3000, 17, 40), (500, 64, 9)])
+    def test_lloyd_rounds_equal_the_add_at_loop(self, n, d, k, noise):
+        # Every round's sums, and so the centroids, assignment and history,
+        # keep the bits of summing each cluster with ``np.add.at``. Column 1
+        # is -0.0 throughout, and its sums must stay +0.0, as from 0.0. With
+        # no noise the input holds at most k - 2 distinct rows, so at least
+        # two centroids start on copies and their clusters stay empty; with
+        # noise Lloyd runs for several rounds.
+        rng = np.random.RandomState(271 + d)
+        rows = rng.standard_normal((k - 2, d)) * 2.0 ** rng.randint(-20, 20, (k - 2, 1))
+        points = rows[rng.randint(0, k - 2, n)] + noise * rng.standard_normal((n, d))
+        if d > 1:
+            points[:, 1] = -0.0
+        points = unit_rows(points)
+        got = _spherical_kmeans(points, k, np.random.RandomState(5))
+        want = lloyd_reference(points, k, np.random.RandomState(5))
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tolist() == want[1].tolist() and got[2] == want[2]
+        if noise == 0.0:
+            assert (np.bincount(got[1], minlength=k) == 0).sum() >= 2
+        elif d > 1:
+            assert len(got[2]) > 3
 
     def test_intake_copies_the_descriptor_matrix_once(self):
         # The loaded column is clustered as it is: only its unit rows are a

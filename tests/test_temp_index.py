@@ -13,6 +13,7 @@ from vwsim import (
     ContractError,
     DomainError,
     ImageObject,
+    Vocabulary,
     build_temp_index,
     query_top1,
     smii_match,
@@ -203,8 +204,9 @@ class TestCallShape:
 
 def _assert_top1_is_scan(unit, raw_q):
     """``_top1`` gives ``_scan_best``'s partner and score bits for every query row."""
-    partners, scores = _top1(unit, raw_q)
-    best = [_scan_best(unit, u) for u in unit_rows(raw_q)]
+    u_q = unit_rows(raw_q)
+    partners, scores = _top1(unit, u_q)
+    best = [_scan_best(unit, u) for u in u_q]
     assert partners.tolist() == [j for _, j in best]
     assert scores.tobytes() == np.array([s for s, _ in best]).tobytes()
 
@@ -235,7 +237,7 @@ class TestCut:
                              ([high, low, high], 0)):
             unit = unit_rows(np.array(rows))
             _assert_top1_is_scan(unit, raw_q[None])
-            assert _top1(unit, raw_q[None])[0].tolist() == [winner]
+            assert _top1(unit, unit_rows(raw_q[None]))[0].tolist() == [winner]
 
     @pytest.mark.parametrize("d", [3, 16, 17, 64, 256])
     def test_rows_tied_in_exact_arithmetic(self, d):
@@ -266,7 +268,7 @@ class TestCut:
                              ([-raw_q, above, 2.0 * raw_q], 1)):
             unit = unit_rows(np.array(rows))
             _assert_top1_is_scan(unit, raw_q[None])
-            assert _top1(unit, raw_q[None])[0].tolist() == [winner]
+            assert _top1(unit, unit_rows(raw_q[None]))[0].tolist() == [winner]
 
     def test_identity_lift_below_one(self):
         # Rows whose self-dot falls short of 1.0: only the identity rule
@@ -279,7 +281,7 @@ class TestCut:
             unit_b = unit_rows(np.array([raw_q + [1e-5 * raw_q[0], 0.0, 0.0], raw_q, raw_q]))
             assert 1.0 - 1e-9 < float(np.dot(unit_b[0], unit_b[1])) < 1.0
             _assert_top1_is_scan(unit_b, raw_q[None])
-            partners, scores = _top1(unit_b, raw_q[None])
+            partners, scores = _top1(unit_b, unit_rows(raw_q[None]))
             assert partners.tolist() == [1] and scores.tolist() == [1.0]
 
     def test_all_clamped_rows_keep_partner_zero(self):
@@ -287,7 +289,7 @@ class TestCut:
         unit = unit_rows(-np.abs(rng.standard_normal((7, 16))))
         raw_q = np.abs(rng.standard_normal((5, 16)))
         raw_q[2] = -raw_q[2]          # the one row with positive cosines
-        partners, scores = _top1(unit, raw_q)
+        partners, scores = _top1(unit, unit_rows(raw_q))
         assert partners[[0, 1, 3, 4]].tolist() == [0, 0, 0, 0]
         assert scores[[0, 1, 3, 4]].tolist() == [0.0] * 4 and scores[2] > 0.0
         _assert_top1_is_scan(unit, raw_q)
@@ -302,13 +304,13 @@ class TestCut:
         with pytest.raises(DomainError, match="subnormal"):
             unit_rows(np.array([np.ones(d), odd]))
         # smii never sees it: an image holding it is refused at construction,
-        # and a query row handed to ``_top1`` directly is refused there.
+        # and a query row handed to ``query_top1`` is refused there.
         rng = np.random.RandomState(101)
         a = raw_image("a", rng.standard_normal((3, d)))
         with pytest.raises(DomainError, match="image 'b'.*subnormal"):
             smii_similarity(a, raw_image("b", [odd]), 0.5)
         with pytest.raises(DomainError, match="subnormal"):
-            _top1(build_temp_index(a), odd[None])
+            query_top1(build_temp_index(a), odd)
         # The same direction at a normal scale is accepted and unit.
         u = unit_rows(2.0**537 * odd[None])[0]
         assert abs(np.dot(u, u) - 1.0) <= (d + 4) * 2.0**-52
@@ -325,7 +327,8 @@ class TestCut:
         monkeypatch.setattr(temp_index_module, "_pair_scores", counting)
         rng = np.random.RandomState(103)
         for d in (16, 256):
-            _top1(unit_rows(rng.standard_normal((100, d))), rng.standard_normal((100, d)))
+            unit, u_q = unit_rows(rng.standard_normal((200, d))).reshape(2, 100, d)
+            _top1(unit, u_q)
         # Of 100 x 100 cells, one per query row: random rows leave no second
         # one inside the margin.
         assert cells == [100, 100]
@@ -387,3 +390,52 @@ def test_unit_rows_refuses_or_returns_a_unit_row(row):
     u = unit_rows(row[None])[0]
     exact = sum(Fraction(x) ** 2 for x in u.tolist())
     assert abs(exact - 1) <= Fraction(row.size + 4, 2**52)
+
+
+# Every d up to 40, and either side of 64, 128 and 256, so that rows start
+# at every offset modulo any SIMD width within the vocabulary matrix.
+_PREMISE_DIMS = [*range(1, 41), 63, 64, 65, 127, 128, 129, 255, 256, 257]
+
+
+def _near_unit_vocab(rng, size, d):
+    """A vocabulary whose rows sit off unit length by up to about 1e-10, so
+    that renormalizing them changes their bits."""
+    vectors = unit_rows(rng.standard_normal((size, d))) * (1.0 + 3e-11 * rng.standard_normal((size, 1)))
+    return Vocabulary(vectors=vectors, frequencies=np.ones(size, dtype=np.int64))
+
+
+class TestUnitRowSources:
+    """A vocabulary-backed image reads its unit rows from ``unit_matrix``;
+    a raw image normalizes its own. Both must give the same bits."""
+
+    @pytest.mark.parametrize("d", _PREMISE_DIMS)
+    def test_unit_matrix_rows_equal_normalized_gathered_rows(self, d):
+        rng = np.random.RandomState(600 + d)
+        vocab = _near_unit_vocab(rng, 97, d)
+        assert not np.array_equal(vocab.unit_matrix, vocab.vectors)
+        for ids in (rng.randint(0, 97, size=40), np.arange(97)[::-1], np.array([5, 5, 96, 0, 5]),
+                    np.array([96])):
+            gathered = unit_rows(vocab.vectors[ids])
+            assert vocab.unit_matrix[ids].tobytes() == gathered.tobytes()
+            image = ImageObject("v", weights=np.ones(ids.size), word_ids=ids, vocab=vocab)
+            assert image.unit_rows().tobytes() == gathered.tobytes()
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 16, 17, 63, 64, 65, 256, 257])
+    def test_raw_and_vocabulary_backed_images_score_alike(self, d):
+        rng = np.random.RandomState(700 + d)
+        vocab = _near_unit_vocab(rng, 60, d)
+        for _ in range(6):
+            pair = []
+            for name in ("a", "b"):
+                ids = rng.randint(0, 60, size=rng.randint(1, 30))
+                ids = np.concatenate([ids, ids[:3]])          # repeated words
+                weights = rng.uniform(0.1, 1.0, ids.size)
+                weights /= weights.max()
+                pair.append((ImageObject(name, weights=weights, word_ids=ids, vocab=vocab),
+                             ImageObject(name, weights=weights, vectors=vocab.vectors[ids])))
+            (a_v, a_r), (b_v, b_r) = pair
+            for mu0 in (0.0, 0.5):
+                scores = {f(a, b, mu0).hex() for f in (smin_similarity, smii_similarity)
+                          for a in (a_v, a_r) for b in (b_v, b_r)}
+                assert len(scores) == 1
+                assert smii_match(a_r, b_v, mu0) == smin_match(a_v, b_r, mu0)
